@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the library's hot paths, plus the
-// ablations docs/DESIGN.md calls out: ball-tree vs brute-force kNN, rule coverage
+// ablations docs/DESIGN.md calls out: kNN query and index build, rule coverage
 // evaluation, SMOTE-NC generation, model training, the base-instance IP,
 // and the per-iteration FROTE objective evaluation.
 #include <benchmark/benchmark.h>
@@ -69,29 +69,18 @@ void BM_KnnBrute(benchmark::State& state) {
     benchmark::DoNotOptimize(knn.query(data.row(q++ % data.size()), 5));
   }
 }
-BENCHMARK(BM_KnnBrute)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_KnnBrute)->Arg(1000)->Arg(4000)->Arg(8000);
 
-void BM_KnnBallTree(benchmark::State& state) {
-  const auto& data = adult(static_cast<std::size_t>(state.range(0)));
-  const BallTreeKnn knn(data, MixedDistance::fit(data));
-  std::size_t q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(knn.query(data.row(q++ % data.size()), 5));
-  }
-}
-BENCHMARK(BM_KnnBallTree)->Arg(1000)->Arg(4000);
-
-void BM_BallTreeBuild(benchmark::State& state) {
+void BM_KnnBuild(benchmark::State& state) {
   const auto& data = adult(static_cast<std::size_t>(state.range(0)));
   const auto distance = MixedDistance::fit(data);
   for (auto _ : state) {
-    BallTreeKnn knn(data, distance);
+    BruteKnn knn(data, distance);
     benchmark::DoNotOptimize(knn.size());
   }
 }
-// 1000 = below the brute/ball-tree crossover, 4000 = at it (the build cost
-// make_knn_index's crossover heuristic weighs against the per-query win).
-BENCHMARK(BM_BallTreeBuild)->Arg(1000)->Arg(4000);
+// The signature grouping and numeric packing a fresh index pays once.
+BENCHMARK(BM_KnnBuild)->Arg(1000)->Arg(8000);
 
 void BM_SmoteNcGenerate(benchmark::State& state) {
   const auto& data = adult(2000);
@@ -180,7 +169,7 @@ BENCHMARK(BM_IpSelection);
 void BM_IpSelectionSized(benchmark::State& state) {
   // Cold selection cost across dataset sizes (every iteration refits the
   // distance, rebuilds the index and re-predicts — the pre-workspace
-  // per-step cost; 8000 crosses into the ball-tree engine). The scale
+  // per-step cost; its kNN self-join dominates from 4000 rows up). The scale
   // points run the scale tier for real: columnar chunked storage
   // (docs/DESIGN.md §8) and, past shard_min_rows, the sharded kNN index.
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -35,9 +35,10 @@ echo "=== determinism leg: FROTE_NUM_THREADS=4 ==="
 # test_checkpoint/test_spec add snapshot-resume and the plan driver;
 # test_incremental_learners locks update() ≡ train() and the certified
 # neighborhood cache under the pool;
-# test_serve drives the daemon end-to-end (its own suites re-check 1 vs 4).
+# test_serve drives the daemon end-to-end (its own suites re-check 1 vs 4);
+# test_knn runs the differential kNN oracle with sharded fan-out on the pool.
 FROTE_NUM_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_chunks|test_sharded_knn|test_incremental_learners'
+  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_chunks|test_sharded_knn|test_incremental_learners|test_knn'
 
 # Spec-driven leg: run a small declarative plan to completion (golden),
 # then the same plan interrupted mid-run (--max-steps leaves per-run

@@ -206,7 +206,6 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
   impl->observers = observers_;
   impl->generate_config.k = config_.k;
   impl->generate_config.rule_confidence = config_.rule_confidence;
-  impl->generate_config.threads = config_.threads;
 
   // Synthesize the to_spec() provenance: start from the originating spec
   // when there is one (it carries the learner / dataset reference), re-sync

@@ -19,8 +19,7 @@ RuleConstrainedGenerator::RuleConstrainedGenerator(
     const RuleBasePopulation& bp, const MixedDistance& distance,
     GenerateConfig config)
     : data_(&data), rule_(&rule), bp_(&bp), config_(config) {
-  knn_ = std::make_unique<BruteKnn>(data, distance, bp.indices,
-                                    config.threads);
+  knn_ = std::make_unique<BruteKnn>(data, distance, bp.indices);
   const Schema& schema = data.schema();
   constraints_.reserve(schema.num_features());
   constrained_.reserve(schema.num_features());

@@ -28,10 +28,6 @@ struct GenerateConfig {
   /// other classes when the base label equals the rule's class). p = 1 is
   /// the deterministic setting used in all but the Table 6 experiment.
   double rule_confidence = 1.0;
-  /// Threads for the per-rule base-population kNN scans; 0 ⇒
-  /// FROTE_NUM_THREADS. The Engine propagates its `threads` setting here.
-  /// Generated instances are bit-identical for every value.
-  int threads = 0;
 };
 
 /// Generator bound to one rule's base population within the active dataset.

@@ -70,8 +70,8 @@
 //                                          the old signatures are unchanged
 //   KnnIndex                             → new try_append(data, distance)
 //                                          (default: refuse, caller
-//                                          rebuilds); BruteKnn/BallTreeKnn
-//                                          absorb appended rows
+//                                          rebuilds); BruteKnn absorbs
+//                                          appended rows
 //   MixedDistance                        → new from_moments(schema,
 //                                          ColumnMoments) and same_scales()
 //   Dataset                              → staged appends (stage_rows/
@@ -291,6 +291,24 @@
 //                                          (via scenario_session_spec); new
 //                                          scenario.list / scenario.run
 //                                          methods
+//
+// One exact kNN engine (the ball tree is gone) — removals; every
+// neighbour list is bit-identical to before:
+//   BallTreeKnn                          → BruteKnn, now a scan grouped by
+//                                          categorical signature; build it
+//                                          directly or via make_knn_index
+//   BruteKnn(data, distance, indices,    → BruteKnn(data, distance,
+//            threads)                    indices): one query runs on one
+//                                          thread; parallelise across
+//                                          queries instead
+//   KnnIndexConfig::leaf_size /          → removed with the ball tree;
+//   KnnIndexConfig::brute_crossover      → make_knn_index picks BruteKnn
+//                                          below shard_min_rows
+//   make_single_knn_index(data,          → make_single_knn_index(data,
+//     distance, indices, config)         distance, indices)
+//   GenerateConfig::threads              → removed (its only use was the
+//                                          per-query BruteKnn fan-out)
+//   detail::PackedRows::permute          → removed (no tree to reorder for)
 // ---------------------------------------------------------------------------
 #pragma once
 

@@ -3,7 +3,9 @@
 // differences after standardization; each categorical mismatch contributes
 // the square of the *median of the numeric features' standard deviations*.
 // This is a proper metric (it embeds categories as orthogonal simplex
-// corners), so a ball tree over it is valid.
+// corners). Its categorical term depends only on the mismatch count, which
+// is what lets BruteKnn (knn/knn.hpp) score a whole signature group of rows
+// with one count.
 #pragma once
 
 #include <cstddef>

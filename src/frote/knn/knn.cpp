@@ -1,18 +1,16 @@
 #include "frote/knn/knn.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <unordered_map>
 
 #include "frote/knn/sharded.hpp"
-#include "frote/util/parallel.hpp"
 
 namespace frote {
 
 namespace {
-
-/// Rows per chunk of a brute-force scan. Large enough that the common small
-/// indexes (rule base populations, n ≤ a few thousand) stay single-chunk.
-constexpr std::size_t kScanGrain = 1024;
 
 std::vector<std::size_t> all_indices(const Dataset& data) {
   std::vector<std::size_t> idx(data.size());
@@ -31,13 +29,12 @@ bool is_identity(const std::vector<std::size_t>& ids) {
 
 namespace detail {
 
-// PackedRows: the shared storage format of both engines. Columns are
-// permuted so the numeric features come first — pre-multiplied by 1/σ, so
-// the scan's numeric term is a plain squared difference — followed by the
-// raw categorical codes, whose mismatches add a constant squared penalty.
-// The squared-distance kernel is therefore two tight branch-free-per-column
-// loops over contiguous memory. Both engines pack identically, so they agree
-// on every distance bit.
+// PackedRows: the reference row format. Columns are permuted so the numeric
+// features come first — pre-multiplied by 1/σ, so the numeric term is a
+// plain squared difference — followed by the raw categorical codes, whose
+// mismatches add a constant squared penalty. BruteKnn packs its numeric
+// blocks with the same products and sums in the same order, so the two
+// agree on every distance bit.
 
 void PackedRows::init_layout(const MixedDistance& distance) {
   dim_ = distance.num_columns();
@@ -113,17 +110,6 @@ bool PackedRows::scales_match(const MixedDistance& distance) const {
   return slot == numeric_count_;
 }
 
-void PackedRows::permute(const std::vector<std::size_t>& order) {
-  std::vector<double> next(data_.size());
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    std::copy(data_.begin() + static_cast<std::ptrdiff_t>(order[pos] * dim_),
-              data_.begin() +
-                  static_cast<std::ptrdiff_t>((order[pos] + 1) * dim_),
-              next.begin() + static_cast<std::ptrdiff_t>(pos * dim_));
-  }
-  data_ = std::move(next);
-}
-
 double PackedRows::squared(const double* a, const double* b) const {
   double acc = 0.0;
   std::size_t f = 0;
@@ -149,305 +135,255 @@ double PackedRows::squared(const double* a, const double* b) const {
 // ---------------------------------------------------------------------------
 // BruteKnn
 
+namespace {
+
+/// A categorical code as a dictionary key: its bits, with -0.0 joined to
+/// 0.0, so two stored codes share a key exactly when they compare equal
+/// (Schema::validate_row admits only finite codes). A NaN query code keys
+/// to no stored code, and NaN matches nothing.
+std::uint64_t code_key(double code) {
+  if (code == 0.0) code = 0.0;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &code, sizeof bits);
+  return bits;
+}
+
+/// Rows per numeric tile: a tile's sums accumulate one column at a time
+/// across its rows, which the compiler vectorises.
+constexpr std::size_t kTile = 8;
+
+/// Per-thread query scratch; query_squared is const and runs concurrently.
+struct QueryScratch {
+  std::vector<double> numeric;           // packed query numeric slots
+  std::vector<std::uint32_t> lanes;      // query codes as dictionary lanes
+  std::vector<std::uint32_t> mismatches;  // per group
+  std::vector<std::size_t> level_start;  // groups at level m: [m], [m+1]
+  std::vector<std::size_t> level_next;   // counting-sort cursors
+  std::vector<std::size_t> by_level;     // group ids, ascending mismatches
+};
+
+/// Count each group's mismatches against the query lanes, one signature
+/// column at a time, then counting-sort the groups into level order.
+void sort_by_level(const std::vector<std::uint32_t>& signatures,
+                   std::size_t groups, QueryScratch& s) {
+  const std::size_t codes = s.lanes.size();
+  s.mismatches.assign(groups, 0);
+  // Through plain pointers, so the compiler can vectorise the inner loop.
+  std::uint32_t* const mismatches = s.mismatches.data();
+  for (std::size_t j = 0; j < codes; ++j) {
+    const std::uint32_t lane = s.lanes[j];
+    const std::uint32_t* const column = signatures.data() + j * groups;
+    for (std::size_t g = 0; g < groups; ++g) {
+      mismatches[g] += column[g] != lane ? 1 : 0;
+    }
+  }
+  s.level_start.assign(codes + 2, 0);
+  for (std::size_t g = 0; g < groups; ++g) ++s.level_start[mismatches[g] + 1];
+  for (std::size_t m = 0; m <= codes; ++m) {
+    s.level_start[m + 1] += s.level_start[m];
+  }
+  s.level_next.assign(s.level_start.begin(), s.level_start.end() - 1);
+  s.by_level.resize(groups);
+  for (std::size_t g = 0; g < groups; ++g) {
+    s.by_level[s.level_next[mismatches[g]]++] = g;
+  }
+}
+
+}  // namespace
+
 BruteKnn::BruteKnn(const Dataset& data, MixedDistance distance,
-                   std::vector<std::size_t> indices, int threads)
+                   std::vector<std::size_t> indices)
     : row_ids_(indices.empty() ? all_indices(data) : std::move(indices)),
-      packed_(data, distance, row_ids_),
-      threads_(threads),
-      covers_prefix_(is_identity(row_ids_)) {}
+      covers_prefix_(is_identity(row_ids_)) {
+  for (std::size_t f = 0; f < distance.num_columns(); ++f) {
+    (distance.column_categorical(f) ? cat_cols_ : numeric_cols_).push_back(f);
+  }
+  dictionaries_.resize(cat_cols_.size());
+  add_rows(data, 0);
+  pack(data, distance);
+}
+
+void BruteKnn::add_rows(const Dataset& data, std::size_t from) {
+  const std::size_t codes = cat_cols_.size();
+  // Signature hash -> group, rebuilt per call: a lookup aid only.
+  const auto hash_of = [](const std::uint32_t* lanes, std::size_t count) {
+    std::uint64_t hash = 14695981039346656037ull;  // FNV-1a over the lanes
+    for (std::size_t j = 0; j < count; ++j) {
+      hash = (hash ^ lanes[j]) * 1099511628211ull;
+    }
+    return hash;
+  };
+  std::unordered_multimap<std::uint64_t, std::uint32_t> group_of;
+  group_of.reserve(groups_ + (row_ids_.size() - from));
+  for (std::size_t g = 0; g < groups_; ++g) {
+    group_of.emplace(hash_of(group_lanes_.data() + g * codes, codes),
+                     static_cast<std::uint32_t>(g));
+  }
+  // A code's lane is its dictionary entry, so two codes share a lane exactly
+  // when they compare equal and two rows share a group exactly when every
+  // categorical code does.
+  std::vector<std::uint32_t> lanes(codes);
+  for (std::size_t i = from; i < row_ids_.size(); ++i) {
+    const auto row = data.row(row_ids_[i]);
+    for (std::size_t j = 0; j < codes; ++j) {
+      auto& dictionary = dictionaries_[j];
+      lanes[j] = dictionary
+                     .try_emplace(code_key(row[cat_cols_[j]]),
+                                  static_cast<std::uint32_t>(dictionary.size()))
+                     .first->second;
+    }
+    const std::uint64_t hash = hash_of(lanes.data(), codes);
+    auto group = static_cast<std::uint32_t>(groups_);
+    for (auto [at, end] = group_of.equal_range(hash); at != end; ++at) {
+      if (std::equal(lanes.begin(), lanes.end(),
+                     group_lanes_.begin() + at->second * codes)) {
+        group = at->second;
+        break;
+      }
+    }
+    if (group == groups_) {
+      group_of.emplace(hash, group);
+      group_lanes_.insert(group_lanes_.end(), lanes.begin(), lanes.end());
+      ++groups_;
+    }
+    row_group_.push_back(group);
+  }
+
+  // Lay the groups out by a stable counting sort, so each group's rows stay
+  // ascending by row-set index, and transpose the lanes column by column.
+  const std::size_t n = row_ids_.size();
+  group_start_.assign(groups_ + 1, 0);
+  for (const std::uint32_t g : row_group_) ++group_start_[g + 1];
+  for (std::size_t g = 0; g < groups_; ++g) {
+    group_start_[g + 1] += group_start_[g];
+  }
+  std::vector<std::size_t> next(group_start_.begin(), group_start_.end() - 1);
+  position_row_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) position_row_[next[row_group_[i]]++] = i;
+  signatures_.resize(groups_ * codes);
+  for (std::size_t g = 0; g < groups_; ++g) {
+    for (std::size_t j = 0; j < codes; ++j) {
+      signatures_[j * groups_ + g] = group_lanes_[g * codes + j];
+    }
+  }
+}
+
+void BruteKnn::pack(const Dataset& data, const MixedDistance& distance) {
+  distance_ = distance;
+  // Same products as PackedRows::pack_row, so every distance bit agrees.
+  const std::size_t slots = numeric_cols_.size();
+  numeric_.resize(row_ids_.size() * slots);
+  for (std::size_t g = 0; g < group_count(); ++g) {
+    const std::size_t begin = group_start_[g];
+    const std::size_t rows = group_start_[g + 1] - begin;
+    double* block = numeric_.data() + begin * slots;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const auto row = data.row(row_ids_[position_row_[begin + i]]);
+      for (std::size_t c = 0; c < slots; ++c) {
+        const std::size_t f = numeric_cols_[c];
+        block[c * rows + i] = row[f] * distance_.column_inv_std(f);
+      }
+    }
+  }
+}
 
 void BruteKnn::query_squared(std::span<const double> query, std::size_t k,
                              std::vector<Neighbor>& out) const {
   out.clear();
   if (k == 0 || row_ids_.empty()) return;
-  static thread_local std::vector<double> packed_query;
-  packed_.pack_query(query, packed_query);
-  const double* q = packed_query.data();
-  // Per-chunk bounded heaps over fixed chunk boundaries, merged in ascending
-  // chunk order. The k-best set under the (distance, index) total order is
-  // independent of the chunking, so every thread count agrees exactly.
-  std::vector<Neighbor> heap = parallel_reduce(
-      row_ids_.size(), kScanGrain, threads_, std::vector<Neighbor>{},
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<Neighbor> local;
-        local.reserve(k + 1);
-        for (std::size_t i = begin; i < end; ++i) {
-          detail::heap_offer(local, k, {i, packed_.squared(packed_.row(i), q)});
+  static thread_local QueryScratch scratch;
+  QueryScratch& s = scratch;
+  const std::size_t slots = numeric_cols_.size();
+  const std::size_t codes = cat_cols_.size();
+  const double penalty_sq =
+      distance_.categorical_penalty() * distance_.categorical_penalty();
+  s.numeric.resize(slots);
+  for (std::size_t c = 0; c < slots; ++c) {
+    const std::size_t f = numeric_cols_[c];
+    s.numeric[c] = query[f] * distance_.column_inv_std(f);
+  }
+  // A query code outside a column's dictionary takes the absent lane, which
+  // no group holds.
+  s.lanes.resize(codes);
+  for (std::size_t j = 0; j < codes; ++j) {
+    const auto& dictionary = dictionaries_[j];
+    const auto at = dictionary.find(code_key(query[cat_cols_[j]]));
+    s.lanes[j] = at != dictionary.end()
+                     ? at->second
+                     : static_cast<std::uint32_t>(dictionary.size());
+  }
+  sort_by_level(signatures_, groups_, s);
+
+  // Visit levels in ascending order. A row's squared distance follows
+  // PackedRows::squared: numeric slots in order, then m penalty adds. The
+  // adds can only grow it, so a numeric sum above the bound is dropped; a
+  // level whose floor (0.0 plus m penalty adds) is above it ends the scan.
+  std::vector<Neighbor>& heap = out;
+  heap.reserve(k + 1);
+  double bound = std::numeric_limits<double>::infinity();
+  const double* q = s.numeric.data();
+  const auto offer = [&](double acc, std::size_t m, std::size_t pos) {
+    if (acc > bound) return;
+    for (std::size_t t = 0; t < m; ++t) acc += penalty_sq;
+    detail::heap_offer(heap, k, {position_row_[pos], acc});
+    if (heap.size() == k) bound = heap.front().distance;
+  };
+  double floor = 0.0;
+  for (std::size_t m = 0; m <= codes; ++m, floor += penalty_sq) {
+    for (std::size_t at = s.level_start[m]; at < s.level_start[m + 1]; ++at) {
+      if (floor > bound) break;
+      const std::size_t g = s.by_level[at];
+      const std::size_t begin = group_start_[g];
+      const std::size_t rows = group_start_[g + 1] - begin;
+      const double* block = numeric_.data() + begin * slots;
+      std::size_t i = 0;
+      for (; i + kTile <= rows; i += kTile) {
+        double acc[kTile] = {};
+        for (std::size_t c = 0; c < slots; ++c) {
+          const double* column = block + c * rows + i;
+          for (std::size_t t = 0; t < kTile; ++t) {
+            const double diff = column[t] - q[c];
+            acc[t] += diff * diff;
+          }
         }
-        return local;
-      },
-      [k](std::vector<Neighbor>& acc, std::vector<Neighbor>&& part) {
-        if (acc.empty()) {
-          acc = std::move(part);
-          return;
+        for (std::size_t t = 0; t < kTile; ++t) offer(acc[t], m, begin + i + t);
+      }
+      for (; i < rows; ++i) {
+        double acc = 0.0;
+        for (std::size_t c = 0; c < slots; ++c) {
+          const double diff = block[c * rows + i] - q[c];
+          acc += diff * diff;
         }
-        for (const Neighbor& cand : part) detail::heap_offer(acc, k, cand);
-      });
-  out = detail::heap_sorted(std::move(heap));
+        offer(acc, m, begin + i);
+      }
+    }
+    if (floor > bound) break;
+  }
+  std::sort_heap(heap.begin(), heap.end(), detail::NeighborCmp{});
 }
 
 bool BruteKnn::try_append(const Dataset& data, const MixedDistance& distance) {
   if (!covers_prefix_ || data.size() < row_ids_.size()) return false;
-  const std::size_t old = row_ids_.size();
-  for (std::size_t i = old; i < data.size(); ++i) row_ids_.push_back(i);
-  if (packed_.scales_match(distance)) {
-    packed_.append(data, std::span<const std::size_t>(row_ids_).subspan(old));
-  } else {
-    // The refit distance rescaled at least one column: one O(n·d) repack —
-    // still no engine re-selection and no per-row reallocation churn.
-    packed_.repack(data, distance, row_ids_);
-  }
+  const std::size_t from = row_ids_.size();
+  for (std::size_t i = from; i < data.size(); ++i) row_ids_.push_back(i);
+  add_rows(data, from);
+  pack(data, distance);
   return true;
 }
 
 bool BruteKnn::try_refit(const Dataset& data, const MixedDistance& distance) {
-  if (!packed_.scales_match(distance)) {
-    packed_.repack(data, distance, row_ids_);
-  }
+  if (!distance_.same_scales(distance)) pack(data, distance);
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// BallTreeKnn
-
-BallTreeKnn::BallTreeKnn(const Dataset& data, MixedDistance distance,
-                         std::vector<std::size_t> indices,
-                         std::size_t leaf_size)
-    : row_ids_(indices.empty() ? all_indices(data) : std::move(indices)),
-      packed_(data, distance, row_ids_),
-      leaf_size_(std::max<std::size_t>(1, leaf_size)),
-      covers_prefix_(is_identity(row_ids_)) {
-  build_tree(data);
-}
-
-void BallTreeKnn::build_tree(const Dataset& data) {
-  (void)data;  // packed_ already holds every row in row-set order
-  nodes_.clear();
-  order_.resize(row_ids_.size());
-  for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
-  tree_rows_ = row_ids_.size();
-  if (row_ids_.empty()) return;
-  keyed_.reserve(row_ids_.size());
-  build(0, row_ids_.size());
-  keyed_ = {};  // build-only scratch
-  // Reorder storage so every leaf (and every subtree) is one contiguous
-  // block: leaf scans walk linear memory. nodes_[].center holds storage
-  // *positions* from here on; order_ maps positions back to row-set indices.
-  packed_.permute(order_);
-  std::vector<std::size_t> pos_of(order_.size());
-  for (std::size_t pos = 0; pos < order_.size(); ++pos) {
-    pos_of[order_[pos]] = pos;
-  }
-  for (auto& node : nodes_) node.center = pos_of[node.center];
-}
-
-int BallTreeKnn::build(std::size_t begin, std::size_t end) {
-  const int node_id = static_cast<int>(nodes_.size());
-  nodes_.push_back({});
-  Node node;
-  node.begin = begin;
-  node.end = end;
-  // Pivot: first point of the range (the parent swaps its split pole here,
-  // so the ball is centred on a pole, which keeps radii tight). One pass
-  // computes the covering radius and the furthest point — the left pole of
-  // this node's own split — together.
-  node.center = order_[begin];
-  node.radius = 0.0;
-  std::size_t left_pole_at = begin;
-  const double* center_row = packed_.row(node.center);
-  for (std::size_t i = begin; i < end; ++i) {
-    const double d =
-        std::sqrt(packed_.squared(center_row, packed_.row(order_[i])));
-    if (d > node.radius) {
-      node.radius = d;
-      left_pole_at = i;
-    }
-  }
-  if (end - begin > leaf_size_) {
-    // Furthest-point split: the left pole is the point furthest from the
-    // pivot; the right pole is the point furthest from the left pole. The
-    // left-pole distances double as the first half of the partition key.
-    const std::size_t left_pole = order_[left_pole_at];
-    const double* left_row = packed_.row(left_pole);
-    keyed_.clear();
-    std::size_t right_pole = left_pole;
-    double best = -1.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const double dl =
-          std::sqrt(packed_.squared(left_row, packed_.row(order_[i])));
-      if (dl > best) {
-        best = dl;
-        right_pole = order_[i];
-      }
-      keyed_.emplace_back(dl, order_[i]);
-    }
-    const double* right_row = packed_.row(right_pole);
-    // Partition by nearer pole (key = d_left − d_right, ties by row index)
-    // around the median.
-    for (std::size_t i = begin; i < end; ++i) {
-      keyed_[i - begin].first -=
-          std::sqrt(packed_.squared(right_row, packed_.row(order_[i])));
-    }
-    const std::size_t mid = begin + (end - begin) / 2;
-    std::nth_element(keyed_.begin(),
-                     keyed_.begin() + static_cast<std::ptrdiff_t>(mid - begin),
-                     keyed_.end());
-    for (std::size_t i = 0; i < keyed_.size(); ++i) {
-      order_[begin + i] = keyed_[i].second;
-    }
-    // Centre each child ball on its pole: the left pole has the most
-    // negative key (its own d_left is 0), so it already sits in the left
-    // half; the right pole symmetrically in the right half. Swapping them to
-    // the front of their ranges makes them the children's pivots.
-    const auto swap_to_front = [&](std::size_t lo, std::size_t hi,
-                                   std::size_t pole) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (order_[i] == pole) {
-          std::swap(order_[lo], order_[i]);
-          return;
-        }
-      }
-    };
-    swap_to_front(begin, mid, left_pole);
-    swap_to_front(mid, end, right_pole);
-    if (mid > begin && mid < end) {
-      node.left = build(begin, mid);
-      node.right = build(mid, end);
-    }
-  }
-  nodes_[static_cast<std::size_t>(node_id)] = node;
-  return node_id;
-}
-
-void BallTreeKnn::refresh_radii() {
-  for (auto& node : nodes_) {
-    const double* center_row = packed_.row(node.center);
-    double radius = 0.0;
-    for (std::size_t pos = node.begin; pos < node.end; ++pos) {
-      radius = std::max(
-          radius, std::sqrt(packed_.squared(center_row, packed_.row(pos))));
-    }
-    node.radius = radius;
-  }
-}
-
-bool BallTreeKnn::try_append(const Dataset& data,
-                             const MixedDistance& distance) {
-  if (!covers_prefix_ || data.size() < row_ids_.size()) return false;
-  const std::size_t old = row_ids_.size();
-  for (std::size_t i = old; i < data.size(); ++i) {
-    row_ids_.push_back(i);
-    order_.push_back(i);  // tail rows sit at their own storage positions
-  }
-  const std::size_t tail = row_ids_.size() - tree_rows_;
-  if (tail > std::max(leaf_size_, tree_rows_ / 8)) {
-    // Deterministic rebuild point: fold the tail into a fresh tree (which
-    // subsumes any rescale handling). Repack into row-set order first —
-    // build_tree assumes storage position i holds row-set index i.
-    packed_.repack(data, distance, row_ids_);
-    build_tree(data);
-    return true;
-  }
-  if (!packed_.scales_match(distance)) {
-    repack_storage(data, distance, old);
-  }
-  packed_.append(data, std::span<const std::size_t>(row_ids_).subspan(old));
-  return true;
-}
-
-void BallTreeKnn::repack_storage(const Dataset& data,
-                                 const MixedDistance& distance,
-                                 std::size_t count) {
-  // Repack the first `count` stored rows (storage position p holds row
-  // order_[p]) and refresh the node radii so pruning stays exact under the
-  // new scales. try_append passes the pre-append row count — the appended
-  // tail is packed right after under the new scales — while try_refit
-  // repacks everything.
-  std::vector<std::size_t> storage_rows(count);
-  for (std::size_t pos = 0; pos < count; ++pos) {
-    storage_rows[pos] = row_ids_[order_[pos]];
-  }
-  packed_.repack(data, distance, storage_rows);
-  refresh_radii();
-}
-
-bool BallTreeKnn::try_refit(const Dataset& data,
-                            const MixedDistance& distance) {
-  if (!packed_.scales_match(distance)) {
-    repack_storage(data, distance, order_.size());
-  }
-  return true;
-}
-
-void BallTreeKnn::search(int node_id, const double* query, std::size_t k,
-                         std::vector<Neighbor>& heap, double center_sq) const {
-  const Node& node = nodes_[static_cast<std::size_t>(node_id)];
-  // Prune: nothing in this ball can beat the current worst. Comparing the
-  // squared gap against the squared worst distance avoids a sqrt of the
-  // heap front on every visit.
-  if (heap.size() == k) {
-    const double gap = std::sqrt(center_sq) - node.radius;
-    if (gap > 0.0 && gap * gap > heap.front().distance) return;
-  }
-  if (node.left < 0) {
-    for (std::size_t i = node.begin; i < node.end; ++i) {
-      detail::heap_offer(heap, k,
-                         {order_[i], packed_.squared(packed_.row(i), query)});
-    }
-    return;
-  }
-  // Visit the child whose pivot is nearer first for better pruning; the
-  // children's center distances are computed here once and handed down.
-  const Node& l = nodes_[static_cast<std::size_t>(node.left)];
-  const Node& r = nodes_[static_cast<std::size_t>(node.right)];
-  const double dl = packed_.squared(packed_.row(l.center), query);
-  const double dr = packed_.squared(packed_.row(r.center), query);
-  if (dl <= dr) {
-    search(node.left, query, k, heap, dl);
-    search(node.right, query, k, heap, dr);
-  } else {
-    search(node.right, query, k, heap, dr);
-    search(node.left, query, k, heap, dl);
-  }
-}
-
-void BallTreeKnn::query_squared(std::span<const double> query, std::size_t k,
-                                std::vector<Neighbor>& out) const {
-  out.clear();
-  if (k == 0 || row_ids_.empty()) return;
-  static thread_local std::vector<double> packed_query;
-  packed_.pack_query(query, packed_query);
-  const double* q = packed_query.data();
-  std::vector<Neighbor> heap;
-  heap.reserve(k + 1);
-  if (!nodes_.empty()) {
-    search(0, q, k, heap,
-           packed_.squared(packed_.row(nodes_[0].center), q));
-  }
-  // Tail buffer of appended rows: a flat scan after the tree. The k-best
-  // set under the (distance, index) total order is independent of the visit
-  // order, so the result matches a fresh build bit for bit.
-  for (std::size_t pos = tree_rows_; pos < order_.size(); ++pos) {
-    detail::heap_offer(heap, k,
-                       {order_[pos], packed_.squared(packed_.row(pos), q)});
-  }
-  out = detail::heap_sorted(std::move(heap));
 }
 
 // ---------------------------------------------------------------------------
 // Engine selection
 
-std::unique_ptr<KnnIndex> make_single_knn_index(const Dataset& data,
-                                                MixedDistance distance,
-                                                std::vector<std::size_t> indices,
-                                                const KnnIndexConfig& config) {
-  const std::size_t n = indices.empty() ? data.size() : indices.size();
-  if (n < config.brute_crossover) {
-    return std::make_unique<BruteKnn>(data, std::move(distance),
-                                      std::move(indices), config.threads);
-  }
-  return std::make_unique<BallTreeKnn>(data, std::move(distance),
-                                       std::move(indices), config.leaf_size);
+std::unique_ptr<KnnIndex> make_single_knn_index(
+    const Dataset& data, MixedDistance distance,
+    std::vector<std::size_t> indices) {
+  return std::make_unique<BruteKnn>(data, std::move(distance),
+                                    std::move(indices));
 }
 
 std::unique_ptr<KnnIndex> make_knn_index(const Dataset& data,
@@ -464,8 +400,7 @@ std::unique_ptr<KnnIndex> make_knn_index(const Dataset& data,
     return std::make_unique<ShardedKnnIndex>(data, std::move(distance),
                                              std::move(indices), config);
   }
-  return make_single_knn_index(data, std::move(distance), std::move(indices),
-                               config);
+  return make_single_knn_index(data, std::move(distance), std::move(indices));
 }
 
 }  // namespace frote

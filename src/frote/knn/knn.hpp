@@ -1,38 +1,39 @@
 // k-nearest-neighbour search over a fixed set of rows with the SMOTE-NC
-// mixed distance. Three engines with identical results:
-//  - BruteKnn: flat scan over contiguous row storage, O(n) per query,
-//    chunk-parallel for large row sets;
-//  - BallTreeKnn: metric ball tree (the paper uses sklearn's ball_tree);
+// mixed distance. Two engines with identical results:
+//  - BruteKnn: an exact scan grouped by categorical signature — one
+//    mismatch count per group, levels visited by ascending mismatches, and
+//    a running k-th-distance bound that skips whole levels and drops rows
+//    before their penalty adds;
 //  - ShardedKnnIndex (knn/sharded.hpp): contiguous shards of the row set,
-//    each backed by one of the two engines above, with a deterministic
-//    merged top-k.
-// All engines compare squared distances internally and break distance ties
-// by row index, so they agree exactly. The virtual surface is
-// query_squared() — the k best by *squared* distance — and the public
-// query() applies the square root once on top; composing engines
-// (ShardedKnnIndex's merge) work on the squared values so no intermediate
-// rounding can reorder a tie. make_knn_index() picks the engine by row
-// count: below the measured crossover the flat scan wins, above it the
-// ball tree, and past the sharding threshold the row set is partitioned
-// so builds and queries fan out on util/parallel.hpp.
+//    each backed by a BruteKnn, with a deterministic merged top-k.
+// Both compare squared distances internally and break distance ties by row
+// index, so they agree exactly. The virtual surface is query_squared() —
+// the k best by *squared* distance — and the public query() applies the
+// square root once on top; composing engines (ShardedKnnIndex's merge) work
+// on the squared values so no intermediate rounding can reorder a tie.
+// make_knn_index() builds one BruteKnn, and past the sharding threshold
+// partitions the row set so builds and queries fan out on
+// util/parallel.hpp.
 //
 // Appendable indexes (docs/DESIGN.md §5): an index built over *all* rows of
 // a dataset can absorb appended rows via try_append() instead of being
-// rebuilt from scratch. BruteKnn packs just the new rows (or repacks in one
-// pass when the refit distance changed scale); BallTreeKnn keeps appended
-// rows in a flat tail buffer that every query scans after the tree, and
-// folds the tail into the tree at a deterministic size threshold. Subset
-// indexes (the sharded engine's building blocks) support try_refit()
-// instead: same rows, re-fitted under a rescaled distance. Query results
-// after any append/refit sequence are bit-identical to a fresh build over
-// the same rows and distance.
+// rebuilt from scratch. BruteKnn files only the new rows into signature
+// groups (opening new groups as needed; existing groups and dictionaries are
+// kept), then lays the groups out again and repacks its numeric blocks in
+// one O(n·d) pass. Subset indexes (the sharded engine's building blocks)
+// support try_refit() instead: same rows, re-fitted under a rescaled
+// distance.
+// Query results after any append/refit sequence are bit-identical to a
+// fresh build over the same rows and distance.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -47,9 +48,11 @@ struct Neighbor {
 };
 
 namespace detail {
-/// Contiguous pre-scaled row storage shared by both engines: numeric columns
-/// first (pre-multiplied by 1/σ so the scan is a plain squared difference),
-/// then raw categorical codes (mismatch adds a constant squared penalty).
+/// Contiguous pre-scaled row storage — the reference layout and summation
+/// order of the squared distance, used by SessionWorkspace's neighbourhood
+/// certificates: numeric columns first (pre-multiplied by 1/σ so the
+/// numeric term is a plain squared difference), then raw categorical codes
+/// (each mismatch adds a constant squared penalty).
 class PackedRows {
  public:
   PackedRows(const Dataset& data, const MixedDistance& distance,
@@ -69,8 +72,6 @@ class PackedRows {
               const std::vector<std::size_t>& row_ids);
   /// True when `distance` scales every column exactly as this packing did.
   bool scales_match(const MixedDistance& distance) const;
-  /// Reorder storage so position p holds the row previously at order[p].
-  void permute(const std::vector<std::size_t>& order);
   double squared(const double* a, const double* b) const;
 
  private:
@@ -86,7 +87,7 @@ class PackedRows {
 };
 
 /// Total order every engine ranks by: distance, then row index — the
-/// deterministic tie-break that makes brute/tree/sharded agree exactly.
+/// deterministic tie-break that makes single and sharded indexes agree.
 /// Works identically on squared distances (sqrt is monotone).
 struct NeighborCmp {
   bool operator()(const Neighbor& a, const Neighbor& b) const {
@@ -163,14 +164,29 @@ class KnnIndex {
   }
 };
 
-/// Exhaustive scan over contiguous rows.
+/// Exact scan grouped by categorical signature: the library's single-index
+/// engine.
+///
+/// Rows are stored grouped by their tuple of categorical codes (the
+/// signature). Each group is one contiguous block whose numeric columns are
+/// laid out column by column, pre-scaled exactly as PackedRows packs them,
+/// and every stored row keeps its row-set index. A query counts its
+/// mismatches `m` against each group's signature once, then visits groups by
+/// ascending `m`. The squared distance of a row at level `m` is its numeric
+/// sum followed by `m` penalty adds — PackedRows::squared's order — so it is
+/// never below the level floor (0.0 plus `m` penalty adds): IEEE addition of
+/// non-negative terms is monotone. The scan therefore stops at the first
+/// level whose floor is greater than the current k-th squared distance, and
+/// drops a row whose numeric sum alone is greater than it, before any
+/// penalty add. Only a strict `>` prunes, so ties always reach the (squared
+/// distance, row index) order, and the k-best set under that total order
+/// does not depend on the visit order: results are bit-identical to a flat
+/// scan.
 class BruteKnn : public KnnIndex {
  public:
   /// Index the rows of `data` at `indices` (or all rows when empty).
-  /// `threads` chunks the distance scan of large row sets;
-  /// 0 ⇒ FROTE_NUM_THREADS. Results are identical for every thread count.
   BruteKnn(const Dataset& data, MixedDistance distance,
-           std::vector<std::size_t> indices = {}, int threads = 0);
+           std::vector<std::size_t> indices = {});
 
   void query_squared(std::span<const double> query, std::size_t k,
                      std::vector<Neighbor>& out) const override;
@@ -178,96 +194,53 @@ class BruteKnn : public KnnIndex {
   std::size_t dataset_index(std::size_t i) const override {
     return row_ids_[i];
   }
+  /// Appended rows join their signature groups (or open new ones); the
+  /// existing groups and dictionaries are kept, and the groups are laid out
+  /// again with every numeric block repacked under `distance`.
   bool try_append(const Dataset& data, const MixedDistance& distance) override;
+  /// Same rows, same groups; the numeric blocks are repacked only when
+  /// `distance` rescaled a column.
   bool try_refit(const Dataset& data, const MixedDistance& distance) override;
 
- private:
-  std::vector<std::size_t> row_ids_;
-  detail::PackedRows packed_;
-  int threads_ = 0;
-  bool covers_prefix_ = false;  // row_ids_ == [0, size())
-};
-
-/// Metric ball tree (furthest-point split).
-class BallTreeKnn : public KnnIndex {
- public:
-  /// Leaf size balances per-node pruning against the (cheap, contiguous)
-  /// leaf scans; the default is tuned on bench_micro's BM_KnnBallTree.
-  static constexpr std::size_t kDefaultLeafSize = 32;
-
-  BallTreeKnn(const Dataset& data, MixedDistance distance,
-              std::vector<std::size_t> indices = {},
-              std::size_t leaf_size = kDefaultLeafSize);
-
-  void query_squared(std::span<const double> query, std::size_t k,
-                     std::vector<Neighbor>& out) const override;
-  std::size_t size() const override { return row_ids_.size(); }
-  std::size_t dataset_index(std::size_t i) const override {
-    return row_ids_[i];
-  }
-  /// Appended rows live in a flat tail buffer scanned after the tree; when
-  /// the tail outgrows max(leaf_size, tree_rows/8) — a pure function of the
-  /// row counts, so rebuild points are deterministic — the whole index is
-  /// rebuilt. A rescaled distance triggers a one-pass repack plus an exact
-  /// per-node radius refresh (the tree topology is kept; only the bounds
-  /// must be valid for pruning).
-  bool try_append(const Dataset& data, const MixedDistance& distance) override;
-  /// Same-rows refit: repack under the new scales + refresh the radii.
-  bool try_refit(const Dataset& data, const MixedDistance& distance) override;
-  /// Rows covered by tree nodes (excludes the tail buffer); test hook.
-  std::size_t tree_rows() const { return tree_rows_; }
+  /// Distinct categorical signatures among the indexed rows; test hook.
+  std::size_t group_count() const { return groups_; }
 
  private:
-  struct Node {
-    std::size_t begin = 0, end = 0;  // range into order_ (= storage range)
-    /// Row-set index of the pivot during build; remapped to its storage
-    /// position once the leaf-contiguous permutation is applied.
-    std::size_t center = 0;
-    double radius = 0.0;
-    int left = -1, right = -1;       // children node ids; -1 for leaf
-  };
+  /// File the row-set rows [from, size()) into signature groups, opening a
+  /// group for each new signature, then lay the groups out as contiguous
+  /// runs of positions with rows ascending by row-set index.
+  void add_rows(const Dataset& data, std::size_t from);
+  /// Adopt `distance` and fill every group's numeric block under it.
+  void pack(const Dataset& data, const MixedDistance& distance);
 
-  void build_tree(const Dataset& data);
-  int build(std::size_t begin, std::size_t end);
-  /// Recompute every node's covering radius under the current packing — one
-  /// exact pass per node, ~3x cheaper than a full rebuild.
-  void refresh_radii();
-  /// Repack the first `count` stored rows under `distance` (storage
-  /// position p holds row order_[p]) and refresh the radii. The shared core
-  /// of try_append's rescale path and try_refit.
-  void repack_storage(const Dataset& data, const MixedDistance& distance,
-                      std::size_t count);
-  /// `center_sq` is the squared distance from the packed query to this
-  /// node's pivot, computed by the parent so no node measures its own
-  /// center twice.
-  void search(int node, const double* query, std::size_t k,
-              std::vector<Neighbor>& heap, double center_sq) const;
-
-  std::vector<std::size_t> row_ids_;
-  detail::PackedRows packed_;
-  std::vector<std::size_t> order_;  // storage position -> row-set index
-  std::vector<Node> nodes_;
-  std::size_t leaf_size_;
-  std::size_t tree_rows_ = 0;  // storage positions [0, tree_rows_) are treed
-  bool covers_prefix_ = false;
-  // Build-time scratch (partition keys); reused across nodes, dead after
-  // construction.
-  std::vector<std::pair<double, std::size_t>> keyed_;
+  std::vector<std::size_t> row_ids_;       // row-set index -> dataset row
+  bool covers_prefix_ = false;             // row_ids_ == [0, size())
+  MixedDistance distance_;                 // the fit numeric_ is packed under
+  std::vector<std::size_t> numeric_cols_;  // numeric features, slot order
+  std::vector<std::size_t> cat_cols_;      // categorical features
+  /// Per categorical column, code key -> lane, lanes numbered in the order
+  /// the codes were first seen.
+  std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> dictionaries_;
+  std::size_t groups_ = 0;
+  std::vector<std::uint32_t> row_group_;    // row-set index -> group
+  std::vector<std::uint32_t> group_lanes_;  // group g's lanes at g·codes
+  /// The same lanes column by column (lane j of group g at j·groups_ + g),
+  /// so a query's per-group mismatch counts accumulate a column at a time,
+  /// many groups per vector instruction.
+  std::vector<std::uint32_t> signatures_;
+  std::vector<std::size_t> group_start_;   // group g: positions [s[g], s[g+1])
+  std::vector<std::size_t> position_row_;  // position -> row-set index
+  /// Group g's block starts at s[g]·numeric slots; row i of an r-row group
+  /// holds slot c at c·r + i within it.
+  std::vector<double> numeric_;
 };
 
 /// Engine-selection knobs for make_knn_index.
 struct KnnIndexConfig {
-  std::size_t leaf_size = BallTreeKnn::kDefaultLeafSize;
-  /// Below this many indexed rows the flat scan beats the ball tree per
-  /// query *and* skips the build cost entirely. Measured crossover on
-  /// bench_micro's adult workload: the tree's query first wins at n = 4000
-  /// (BM_KnnBallTree/4000 vs BM_KnnBrute/4000) and still loses at n = 1000
-  /// (see BENCH_micro.json, including BM_BallTreeBuild for the build cost).
-  std::size_t brute_crossover = 4000;
-  int threads = 0;  // for chunked scans / shard fan-out; 0 ⇒ FROTE_NUM_THREADS
+  int threads = 0;  // shard build/query fan-out; 0 ⇒ FROTE_NUM_THREADS
   /// Row sets at or above this size are sharded (ShardedKnnIndex): the set
   /// splits into contiguous ranges of ~shard_target_rows rows, each backed
-  /// by its own single engine, built and queried on util/parallel.hpp.
+  /// by its own BruteKnn, built and queried on util/parallel.hpp.
   /// The policy is a pure function of (n, config) — never the thread
   /// count — so engine choice is stable across FROTE_NUM_THREADS.
   std::size_t shard_min_rows = 32768;
@@ -277,9 +250,8 @@ struct KnnIndexConfig {
   std::size_t shards = 0;
 };
 
-/// The library's default index: brute force below the measured crossover,
-/// ball tree above it, sharded past shard_min_rows. All engines return
-/// identical neighbours.
+/// The library's default index: one BruteKnn, or a ShardedKnnIndex of
+/// them past shard_min_rows. Both return identical neighbours.
 std::unique_ptr<KnnIndex> make_knn_index(const Dataset& data,
                                          MixedDistance distance,
                                          std::vector<std::size_t> indices = {},
@@ -288,6 +260,6 @@ std::unique_ptr<KnnIndex> make_knn_index(const Dataset& data,
 /// make_knn_index without the sharding tier — the per-shard building block.
 std::unique_ptr<KnnIndex> make_single_knn_index(
     const Dataset& data, MixedDistance distance,
-    std::vector<std::size_t> indices = {}, const KnnIndexConfig& config = {});
+    std::vector<std::size_t> indices = {});
 
 }  // namespace frote

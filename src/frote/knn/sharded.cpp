@@ -66,8 +66,7 @@ void ShardedKnnIndex::build(const Dataset& data) {
       ids.push_back(dataset_index(pos));
     }
     shards_[s].begin = lo;
-    shards_[s].index =
-        make_single_knn_index(data, distance_, std::move(ids), config_);
+    shards_[s].index = make_single_knn_index(data, distance_, std::move(ids));
   });
 }
 
@@ -76,21 +75,20 @@ void ShardedKnnIndex::rebuild_tail(const Dataset& data) {
     tail_.reset();
     return;
   }
-  // The tail is small (bounded by tail_rebuild_threshold), so a fresh flat
-  // pack per append is cheaper than any incremental structure — and it
-  // re-fits the current distance scales for free.
+  // The tail is small (bounded by tail_rebuild_threshold), so a fresh
+  // BruteKnn per append costs little — and it re-fits the current distance
+  // scales for free.
   std::vector<std::size_t> ids;
   ids.reserve(total_rows_ - base_rows_);
   for (std::size_t pos = base_rows_; pos < total_rows_; ++pos) {
     ids.push_back(dataset_index(pos));
   }
-  tail_ = std::make_unique<BruteKnn>(data, distance_, std::move(ids),
-                                     config_.threads);
+  tail_ = std::make_unique<BruteKnn>(data, distance_, std::move(ids));
 }
 
 std::size_t ShardedKnnIndex::tail_rebuild_threshold() const {
   // A pure function of the config (never of n or the thread count), so the
-  // re-shard step is the same in every run. A quarter-shard of flat scan
+  // re-shard step is the same in every run. A quarter-shard of tail scan
   // per query is the agreed ceiling before re-sharding pays for itself.
   return std::max<std::size_t>(1024, config_.shard_target_rows / 4);
 }
@@ -147,8 +145,8 @@ bool ShardedKnnIndex::try_append(const Dataset& data,
     return true;
   }
   // Re-fit each shard in place in case the refit rescaled the distance
-  // (scales_match short-circuits the common no-rescale case), then rebuild
-  // the flat tail under the current scales.
+  // (BruteKnn::try_refit skips the repack when the scales are unchanged),
+  // then rebuild the tail under the current scales.
   std::atomic<bool> ok{true};
   parallel_for(shards_.size(), 1, config_.threads,
                [&](std::size_t begin, std::size_t) {

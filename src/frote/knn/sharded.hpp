@@ -1,19 +1,18 @@
 // ShardedKnnIndex — the scale tier of make_knn_index (docs/DESIGN.md §8).
 //
-// Past KnnIndexConfig::shard_min_rows a single ball tree stops paying: the
-// build is one serial O(n log n) pass, and every query walks one pointer-
-// heavy tree from one thread. Sharding splits the indexed row set into
-// contiguous ascending ranges of ~shard_target_rows rows — shard s covers
-// positions [s·n/S, (s+1)·n/S) — and backs each range with its own
-// single-engine index (make_single_knn_index: brute scan or ball tree by
-// shard size). Builds and queries fan out across shards on
-// util/parallel.hpp (grain 1), so both scale with cores.
+// Past KnnIndexConfig::shard_min_rows a single index stops paying: its
+// build is one serial pass, and every query scans it from one thread.
+// Sharding splits the indexed row set into contiguous ascending ranges of
+// ~shard_target_rows rows — shard s covers positions [s·n/S, (s+1)·n/S) —
+// and backs each range with its own BruteKnn (make_single_knn_index).
+// Builds and queries fan out across shards on util/parallel.hpp (grain 1),
+// so both scale with cores.
 //
 // Determinism is inherited, not re-proved: each shard computes exactly the
-// distances a single index would (same PackedRows packing, same squared
-// kernel), and the merge folds per-shard top-k lists in ascending shard
-// order under the (squared distance, row index) total order — the same
-// discipline as parallel_reduce. Because shards are contiguous ascending
+// distances a single index would (same packing, same summation order), and
+// the merge folds per-shard top-k lists in ascending shard order under the
+// (squared distance, row index) total order — the same discipline as
+// parallel_reduce. Because shards are contiguous ascending
 // ranges, a shard-local index remaps to the global position by adding the
 // shard offset, which preserves the index tie-break. The k-best set under a
 // total order is independent of how the candidates were partitioned, so
@@ -23,7 +22,7 @@
 // per shard first could collapse distinct squared values and break the
 // tie-break equivalence.
 //
-// Appends (the FROTE loop growing D̂) go to a flat BruteKnn tail over the
+// Appends (the FROTE loop growing D̂) go to a BruteKnn tail over the
 // appended rows, queried after the shards; when the tail outgrows a
 // threshold that is a pure function of the config — never the thread
 // count — the whole index is deterministically re-sharded. A refit that
@@ -59,7 +58,7 @@ class ShardedKnnIndex : public KnnIndex {
   std::size_t dataset_index(std::size_t i) const override {
     return row_ids_.empty() ? i : row_ids_[i];
   }
-  /// Appended rows join a flat tail index scanned after the shards; a
+  /// Appended rows join a BruteKnn tail scanned after the shards; a
   /// rescaled distance re-fits each shard in place. When the tail outgrows
   /// tail_rebuild_threshold() the whole index re-shards — at a point that
   /// is a pure function of the row counts and config, so rebuilds happen at
@@ -70,7 +69,7 @@ class ShardedKnnIndex : public KnnIndex {
 
   /// Number of shards over the base (pre-append) row set; test hook.
   std::size_t shard_count() const { return shards_.size(); }
-  /// Appended rows currently served by the flat tail index; test hook.
+  /// Appended rows currently served by the tail index; test hook.
   std::size_t tail_rows() const { return total_rows_ - base_rows_; }
 
   /// The shard-count policy: config.shards >= 2 forces that count

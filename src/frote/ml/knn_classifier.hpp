@@ -1,6 +1,6 @@
 // k-nearest-neighbour classifier over the SMOTE-NC mixed-type metric,
-// reusing the library's auto-selected kNN engine (make_knn_index: flat scan
-// below the measured crossover, ball tree above). Another black-box learner
+// reusing the library's kNN index (make_knn_index: the signature-grouped
+// scan, sharded past KnnIndexConfig::shard_min_rows). Another black-box learner
 // for exercising FROTE's model-agnosticism; interesting because its decision
 // boundary is *exactly* the data — editing the dataset edits the model
 // one-for-one.

@@ -15,6 +15,9 @@ namespace frote {
 namespace {
 
 std::atomic<int> g_default_threads{0};  // 0 ⇒ resolve from the environment
+/// FROTE_NUM_THREADS, clamped, as first read; 0 ⇒ not read yet. Every
+/// parallel region asks for the default, so the environment is read once.
+std::atomic<int> g_env_threads{0};
 
 /// Upper bound on pool workers; far above any sane FROTE_NUM_THREADS and
 /// low enough that a typo (e.g. "400") cannot exhaust the process.
@@ -156,13 +159,21 @@ int resolve_threads(int requested) {
   return std::min(n, kMaxThreads);
 }
 
-void set_default_threads(int n) { g_default_threads.store(n > 0 ? n : 0); }
+void set_default_threads(int n) {
+  g_default_threads.store(n > 0 ? n : 0);
+  if (n <= 0) g_env_threads.store(0);  // the next default re-reads the env
+}
 
 int default_threads() {
   const int pinned = g_default_threads.load();
   if (pinned > 0) return std::min(pinned, kMaxThreads);
-  const int from_env = env_int("FROTE_NUM_THREADS", 1);
-  return std::clamp(from_env, 1, kMaxThreads);
+  int from_env = g_env_threads.load(std::memory_order_relaxed);
+  if (from_env == 0) {
+    // Concurrent first readers compute the same value; either store wins.
+    from_env = std::clamp(env_int("FROTE_NUM_THREADS", 1), 1, kMaxThreads);
+    g_env_threads.store(from_env, std::memory_order_relaxed);
+  }
+  return from_env;
 }
 
 bool in_parallel_region() { return t_in_parallel; }

@@ -37,10 +37,12 @@ namespace frote {
 int resolve_threads(int requested);
 
 /// Process-wide default used when a component's `threads` knob is 0.
-/// `n` > 0 pins the default; n == 0 restores env-var resolution.
+/// `n` > 0 pins the default; n == 0 restores env-var resolution and drops
+/// the cached FROTE_NUM_THREADS, so the next default reads it again.
 void set_default_threads(int n);
 
-/// The process default that resolve_threads(0) would return.
+/// The process default that resolve_threads(0) would return. The
+/// environment is read on first use and cached (see set_default_threads).
 int default_threads();
 
 /// True while the calling thread is executing inside a parallel region;

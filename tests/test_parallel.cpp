@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "frote/core/engine.hpp"
@@ -105,6 +107,26 @@ TEST(ParallelConfig, ResolutionOrderIsRequestThenDefault) {
   set_default_threads(3);
   EXPECT_EQ(resolve_threads(0), 3);
   EXPECT_EQ(resolve_threads(2), 2);  // explicit request still wins
+  set_default_threads(0);
+}
+
+TEST(ParallelConfig, EnvironmentIsReadOnceUntilDefaultIsReset) {
+  const char* outer = std::getenv("FROTE_NUM_THREADS");
+  const std::string saved = outer != nullptr ? outer : "";
+  ::setenv("FROTE_NUM_THREADS", "3", 1);
+  set_default_threads(0);  // drop any cached value
+  EXPECT_EQ(default_threads(), 3);
+  ::setenv("FROTE_NUM_THREADS", "2", 1);
+  EXPECT_EQ(default_threads(), 3);  // cached: the env is not re-read
+  set_default_threads(5);
+  EXPECT_EQ(default_threads(), 5);  // the override wins over the cache
+  set_default_threads(0);
+  EXPECT_EQ(default_threads(), 2);  // reset: the env is read again
+  if (outer != nullptr) {
+    ::setenv("FROTE_NUM_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("FROTE_NUM_THREADS");
+  }
   set_default_threads(0);
 }
 

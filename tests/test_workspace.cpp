@@ -119,12 +119,12 @@ TEST(BruteKnnAppend, MatchesFreshBuildAcrossRescaledAppends) {
   }
 }
 
-TEST(BruteKnnAppend, SameScalesTakesPureAppendPath) {
+TEST(BruteKnnAppend, SameScalesAppendMatchesFresh) {
   auto data = testing::threshold_dataset(80, 5.0, 9);
   const MixedDistance frozen = MixedDistance::fit(data);
   BruteKnn knn(data, frozen);
   data.append(appended_batch(data, 15, 4));
-  ASSERT_TRUE(knn.try_append(data, frozen));  // identical scales: no repack
+  ASSERT_TRUE(knn.try_append(data, frozen));  // identical scales
   const BruteKnn fresh(data, frozen);
   expect_same_queries(knn, fresh, data, 5);
 }
@@ -136,25 +136,17 @@ TEST(BruteKnnAppend, SubsetIndexRefusesAppend) {
   EXPECT_FALSE(knn.try_append(data, MixedDistance::fit(data)));
 }
 
-TEST(BallTreeKnnAppend, TailThenDeterministicRebuildMatchesFresh) {
+TEST(BruteKnnAppend, RepeatedAppendsRegroupAndMatchFresh) {
   auto data = testing::threshold_dataset(150, 5.0, 13);
-  BallTreeKnn tree(data, MixedDistance::fit(data), {}, /*leaf_size=*/8);
-  const std::size_t initial_tree_rows = tree.tree_rows();
-  bool saw_tail = false;
-  bool saw_rebuild = false;
+  BruteKnn knn(data, MixedDistance::fit(data));
   for (int round = 0; round < 6; ++round) {
     data.append(appended_batch(data, 9, 50 + round));
     const MixedDistance refit = MixedDistance::fit(data);
-    ASSERT_TRUE(tree.try_append(data, refit));
-    saw_tail = saw_tail || tree.tree_rows() < tree.size();
-    saw_rebuild = saw_rebuild || tree.tree_rows() > initial_tree_rows;
-    const BallTreeKnn fresh(data, refit, {}, /*leaf_size=*/8);
-    expect_same_queries(tree, fresh, data, 7);
+    ASSERT_TRUE(knn.try_append(data, refit));
+    const BruteKnn fresh(data, refit);
+    EXPECT_EQ(knn.group_count(), fresh.group_count());
+    expect_same_queries(knn, fresh, data, 7);
   }
-  // The sweep must exercise both regimes: queries served tree+tail, and at
-  // least one threshold-triggered fold of the tail into a new tree.
-  EXPECT_TRUE(saw_tail);
-  EXPECT_TRUE(saw_rebuild);
 }
 
 TEST(SessionWorkspace, IndexAppendsAcrossBinds) {
