@@ -145,6 +145,16 @@ FROTE_FAULTS="fsio.fsync:nth=3" "$BUILD_DIR/tools/frote_serve" \
 diff "$SERVE_DIR/golden.jsonl" "$SERVE_DIR/faults.jsonl"
 echo "chaos leg: injected spool failure absorbed; responses byte-identical"
 
+# Benchmark-driver leg: perfbench/src/driver.cpp consumes the public API
+# but is not part of the library build. Build it against this checkout so
+# an API change that breaks it fails here, not in the benchmark run, then
+# run the benchmark harness's own unit tests. The leg writes nothing under
+# perfbench/ (the build lives in $BUILD_DIR, bytecode caching is off).
+echo "=== perfbench leg: build the benchmark driver + perfbench unit tests ==="
+cmake -S perfbench -B "$BUILD_DIR/perfbench" > /dev/null
+cmake --build "$BUILD_DIR/perfbench" -j "$(nproc)"
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench/tests
+
 # Sanitizer leg: rebuild with AddressSanitizer + UBSan (-DFROTE_SANITIZE=ON,
 # separate build dir) and rerun the unit + chaos labels. The chunked data
 # plane and the sharded index move row storage behind raw pointers and

@@ -78,14 +78,6 @@ Engine::Builder& Engine::Builder::mod_strategy(ModStrategy strategy) {
   return *this;
 }
 
-Engine::Builder& Engine::Builder::selection(SelectionStrategy strategy) {
-  config_.selection = strategy;
-  // Last selector choice wins, like the selector() overloads.
-  selector_name_.clear();
-  config_.custom_selector = nullptr;
-  return *this;
-}
-
 Engine::Builder& Engine::Builder::rule_confidence(double confidence) {
   config_.rule_confidence = confidence;
   return *this;
@@ -98,14 +90,13 @@ Engine::Builder& Engine::Builder::accept_always(bool always) {
 
 Engine::Builder& Engine::Builder::selector(std::string name) {
   selector_name_ = std::move(name);
-  config_.custom_selector = nullptr;  // last selector call wins
+  selector_ = nullptr;  // last selector call wins
   return *this;
 }
 
 Engine::Builder& Engine::Builder::selector(
     std::shared_ptr<const BaseInstanceSelector> selector) {
-  config_.custom_selector = std::move(selector);
-  selector_name_.clear();  // last selector call wins
+  selector_ = std::move(selector);
   return *this;
 }
 
@@ -166,13 +157,12 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
   auto impl = std::make_shared<Impl>();
   impl->config = config_;
   impl->frs = frs_;
-  // Selector: an explicit component instance wins, then a registry name
+  // Selector: an explicit component instance wins, else the registry name
   // (resolved here, against the engine's own rule set — selectors holding a
-  // rule-set reference must never bind to a caller temporary), then the
-  // SelectionStrategy enum.
-  if (config_.custom_selector != nullptr) {
-    impl->selector = config_.custom_selector;
-  } else if (!selector_name_.empty()) {
+  // rule-set reference must never bind to a caller temporary).
+  if (selector_ != nullptr) {
+    impl->selector = selector_;
+  } else {
     SelectorSpec selector_spec;
     selector_spec.k = config_.k;
     selector_spec.frs = &impl->frs;
@@ -180,9 +170,6 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
     auto named = make_named_selector(selector_name_, selector_spec);
     if (!named) return named.error();
     impl->selector = std::move(*named);
-  } else {
-    impl->selector = std::shared_ptr<const BaseInstanceSelector>(
-        make_selector(config_.selection, config_.k, config_.threads));
   }
   impl->generator = generator_
                         ? generator_
@@ -222,14 +209,10 @@ Expected<Engine, FroteError> Engine::Builder::build() const {
   spec.mod_strategy = mod_strategy_name(config_.mod_strategy);
   spec.rule_confidence = config_.rule_confidence;
   spec.accept_always = config_.accept_always;
-  if (!selector_name_.empty()) {
-    spec.selector = selector_name_;
-  } else if (config_.custom_selector == nullptr) {
-    spec.selector =
-        config_.selection == SelectionStrategy::kIp ? "ip" : "random";
-  }
   std::string gap = spec_gap_;
-  if (gap.empty() && config_.custom_selector != nullptr) {
+  if (selector_ == nullptr) {
+    spec.selector = selector_name_;
+  } else if (gap.empty()) {
     gap = "custom selector instance";
   }
   if (spec_ != nullptr && !rules_overridden_) {
@@ -257,9 +240,9 @@ Session::Session(std::shared_ptr<const Engine::Impl> engine,
   const FeedbackRuleSet& frs = engine_->frs;
 
   // Input modification (relabel / drop / none), then line 1's defaults:
-  // η ← q|D|/τ unless fixed; the budget q|D| uses the *input* size. Kept
-  // expression-for-expression identical to the pre-Engine frote_edit() so
-  // seed → bit-identical output holds across the shim.
+  // η ← q|D|/τ unless fixed; the budget q|D| uses the *input* size. Both
+  // expressions are part of the seed → bit-identical contract
+  // (tests/test_determinism.cpp); keep their evaluation order.
   apply_mod_strategy(active_, frs, config.mod_strategy);
   eta_ = config.eta != 0
              ? config.eta

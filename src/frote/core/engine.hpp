@@ -22,9 +22,6 @@
 //   auto session = engine.open(train, learner).value();
 //   session.run();                       // or: while (!session.finished())
 //   auto result = std::move(session).result();  //       session.step();
-//
-// The legacy free function frote_edit() (core/frote.hpp) is a thin shim over
-// this API and produces bit-identical output for the same seed.
 #pragma once
 
 #include <memory>
@@ -60,11 +57,11 @@ class Engine {
   /// engines built via Builder::from_spec (the stored provenance — learner
   /// and dataset reference included — is returned with the scalar knobs
   /// re-synced). Engines assembled imperatively are representable as long
-  /// as every component is registry-named (scalar knobs + the
-  /// SelectionStrategy enum); custom component instances yield
-  /// kInvalidArgument. The no-argument form needs rule text from the spec
-  /// provenance — rules installed as in-process objects require the
-  /// schema-taking overload to re-serialise them. Caveat for synthesized
+  /// as every component is registry-named (scalar knobs + the selector
+  /// name); custom component instances yield kInvalidArgument. The
+  /// no-argument form needs rule text from the spec provenance — rules
+  /// installed as in-process objects require the schema-taking overload to
+  /// re-serialise them. Caveat for synthesized
   /// specs (no from_spec provenance): the learner and dataset fields are
   /// open()-time arguments an Engine never sees, so they hold the spec
   /// defaults — fill them in before persisting the document as a run.
@@ -86,9 +83,8 @@ class Engine::Builder {
  public:
   Builder();
 
-  /// Seed all scalar knobs from a legacy FroteConfig (the shim path and the
-  /// easiest migration entry point). custom_selector and accept_always are
-  /// mapped onto their component equivalents.
+  /// Seed all scalar knobs from a FroteConfig. accept_always maps onto
+  /// AlwaysAcceptPolicy unless acceptance() sets a policy.
   Builder& from_config(const FroteConfig& config);
 
   /// Seed the builder from a declarative spec (core/spec.hpp): scalar
@@ -110,18 +106,17 @@ class Engine::Builder {
   /// bit-identical output for every thread count.
   Builder& threads(int threads);
   Builder& mod_strategy(ModStrategy strategy);
-  Builder& selection(SelectionStrategy strategy);
   Builder& rule_confidence(double confidence);
   /// Convenience for the ablation switch; equivalent to
   /// acceptance(std::make_shared<AlwaysAcceptPolicy>()).
   Builder& accept_always(bool always);
 
   /// Select the base-instance selector by registry name
-  /// (make_named_selector: "random", "ip", "online-proxy", or anything
-  /// registered at runtime). Resolution happens inside build(), after the
-  /// rule set is fixed, so selectors that hold a rule-set reference
-  /// (online-proxy) bind to the engine's own copy — never to a caller
-  /// temporary.
+  /// (make_named_selector: "random" — the default — "ip", "online-proxy",
+  /// or anything registered at runtime). Resolution happens inside build(),
+  /// after the rule set is fixed, so selectors that hold a rule-set
+  /// reference (online-proxy) bind to the engine's own copy — never to a
+  /// caller temporary. The last selector() call wins, name or instance.
   Builder& selector(std::string name);
 
   /// Component overrides (pluggable stages).
@@ -140,7 +135,8 @@ class Engine::Builder {
  private:
   FroteConfig config_;
   FeedbackRuleSet frs_;
-  std::string selector_name_;  // registry-resolved in build(); "" = unset
+  std::string selector_name_ = "random";  // registry-resolved in build()
+  std::shared_ptr<const BaseInstanceSelector> selector_;  // wins over name
   std::shared_ptr<const InstanceGenerator> generator_;
   std::shared_ptr<const AcceptancePolicy> acceptance_;
   std::shared_ptr<const StoppingCriterion> stopping_;

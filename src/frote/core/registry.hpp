@@ -1,10 +1,10 @@
 // Named-component registry: string → learner / base-instance selector.
 //
-// The CLI (tools/frote_edit_cli) and the experiment harness (exp/learners)
-// used to keep two divergent if/else chains mapping names to components;
-// this registry is the single shared source of truth. Lookups return
-// Expected so callers get a typed kUnknownComponent / kMissingDependency
-// error (with the list of valid names) instead of a throw.
+// The single source of truth for component names: the CLIs, declarative
+// specs, Engine::Builder::selector and the experiment harness (exp/learners)
+// all resolve through it. Lookups return Expected so callers get a typed
+// kUnknownComponent / kMissingDependency error (with the list of valid
+// names) instead of a throw.
 //
 //   auto learner = make_named_learner("rf", {.seed = 7}).value();
 //   auto selector = make_named_selector(

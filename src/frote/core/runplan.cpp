@@ -134,36 +134,39 @@ Expected<RunPlan, FroteError> RunPlan::parse(std::string_view json_text) {
 }
 
 std::vector<RunPlan::Run> RunPlan::expand() const {
-  const std::vector<std::uint64_t> seed_axis =
-      seeds.empty() ? std::vector<std::uint64_t>{base.seed} : seeds;
-
   if (!scenarios.empty()) {
-    // Scenario grid: empty learner/selector axes mean "the scenario's own
-    // components" (an empty override string), not the base spec's — each
-    // scenario document carries its own engine configuration.
+    // Scenario grid: empty axes mean "the scenario's own" — an empty
+    // override string, no seed override — not the base spec's: each
+    // scenario document carries its own configuration.
     const std::vector<std::string> learner_axis =
         learners.empty() ? std::vector<std::string>{""} : learners;
     const std::vector<std::string> selector_axis =
         selectors.empty() ? std::vector<std::string>{""} : selectors;
+    std::vector<std::optional<std::uint64_t>> seed_axis(seeds.begin(),
+                                                        seeds.end());
+    if (seed_axis.empty()) seed_axis.emplace_back();
     std::vector<Run> runs;
     runs.reserve(scenarios.size() * learner_axis.size() *
                  selector_axis.size() * seed_axis.size() * replicates);
     for (const auto& scenario : scenarios) {
       for (const auto& learner : learner_axis) {
         for (const auto& selector : selector_axis) {
-          for (const std::uint64_t seed : seed_axis) {
+          for (const auto& seed : seed_axis) {
             for (std::size_t r = 0; r < replicates; ++r) {
               Run run;
               run.scenario = scenario;
               run.learner_override = learner;
               run.selector_override = selector;
-              run.seed = replicates > 1 ? derive_seed(seed, r) : seed;
+              run.replicate = r;
+              if (seed.has_value()) {
+                run.seed = replicates > 1 ? derive_seed(*seed, r) : *seed;
+              }
               char prefix[16];
               std::snprintf(prefix, sizeof prefix, "run-%03zu", runs.size());
               run.name = std::string(prefix) + "-" + scenario;
               if (!learner.empty()) run.name += "-" + learner;
               if (!selector.empty()) run.name += "-" + selector;
-              run.name += "-s" + std::to_string(seed);
+              if (seed.has_value()) run.name += "-s" + std::to_string(*seed);
               if (replicates > 1) run.name += "-r" + std::to_string(r);
               runs.push_back(std::move(run));
             }
@@ -178,6 +181,8 @@ std::vector<RunPlan::Run> RunPlan::expand() const {
       learners.empty() ? std::vector<std::string>{base.learner} : learners;
   const std::vector<std::string> selector_axis =
       selectors.empty() ? std::vector<std::string>{base.selector} : selectors;
+  const std::vector<std::uint64_t> seed_axis =
+      seeds.empty() ? std::vector<std::uint64_t>{base.seed} : seeds;
 
   std::vector<Run> runs;
   runs.reserve(learner_axis.size() * selector_axis.size() * seed_axis.size() *
@@ -225,8 +230,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Parse a previously-written result.json; false on any mismatch (the run
-/// is then simply re-executed).
+/// Parse a previously-written result.json; false on any mismatch — a wrong
+/// format, a missing or mistyped field — and the run is then simply
+/// re-executed. `out` is only written on success.
 bool load_run_result(const fs::path& path, RunResult& out) {
   std::string text;
   if (!read_file(path, text)) return false;
@@ -246,26 +252,22 @@ bool load_run_result(const fs::path& path, RunResult& out) {
                 std::to_string(version->as_uint64()) +
                 ", newer than this reader");
   }
-  try {
-    out.completed = json->find("completed")->as_bool();
-    out.dataset_rows =
-        static_cast<std::size_t>(json->find("dataset_rows")->as_uint64());
-    out.instances_added =
-        static_cast<std::size_t>(json->find("instances_added")->as_uint64());
-    out.iterations_run =
-        static_cast<std::size_t>(json->find("iterations_run")->as_uint64());
-    out.iterations_accepted = static_cast<std::size_t>(
-        json->find("iterations_accepted")->as_uint64());
-    out.final_j_bar = json->find("final_j_bar")->as_double();
-    return true;
-  } catch (...) {
-    return false;
-  }
+  RunResult loaded;
+  JsonFieldReader reader(*json, "run result");
+  reader.require("completed", loaded.completed);
+  reader.require("dataset_rows", loaded.dataset_rows);
+  reader.require("instances_added", loaded.instances_added);
+  reader.require("iterations_run", loaded.iterations_run);
+  reader.require("iterations_accepted", loaded.iterations_accepted);
+  reader.require("final_j_bar", loaded.final_j_bar);
+  if (!reader.ok()) return false;
+  out = std::move(loaded);
+  return true;
 }
 
-/// Scenario-run counterpart of load_run_result: a previously-written
-/// ScenarioReport for the same scenario counts as a completed run. Same
-/// refusal policy on a newer result version.
+/// Scenario-run counterpart of load_run_result: a previously-written,
+/// complete ScenarioReport for the same scenario counts as a completed run.
+/// Same refusal policy on a newer result version.
 bool load_scenario_result(const fs::path& path, const std::string& scenario,
                           RunResult& out) {
   std::string text;
@@ -284,26 +286,19 @@ bool load_scenario_result(const fs::path& path, const std::string& scenario,
                 std::to_string(version->as_uint64()) +
                 ", newer than this reader");
   }
-  try {
-    const JsonValue* name = json->find("scenario");
-    if (name == nullptr || !name->is_string() ||
-        name->as_string() != scenario) {
-      return false;
-    }
-    out.completed = true;
-    out.dataset_rows =
-        static_cast<std::size_t>(json->find("rows_final")->as_uint64());
-    out.instances_added =
-        static_cast<std::size_t>(json->find("instances_added")->as_uint64());
-    out.iterations_run =
-        static_cast<std::size_t>(json->find("iterations_run")->as_uint64());
-    out.iterations_accepted = static_cast<std::size_t>(
-        json->find("iterations_accepted")->as_uint64());
-    out.final_j_bar = json->find("final_j_bar")->as_double();
-    return true;
-  } catch (...) {
-    return false;
-  }
+  RunResult loaded;
+  std::string name;
+  JsonFieldReader reader(*json, "scenario result");
+  reader.require("scenario", name);
+  reader.require("rows_final", loaded.dataset_rows);
+  reader.require("instances_added", loaded.instances_added);
+  reader.require("iterations_run", loaded.iterations_run);
+  reader.require("iterations_accepted", loaded.iterations_accepted);
+  reader.require("final_j_bar", loaded.final_j_bar);
+  if (!reader.ok() || name != scenario) return false;
+  loaded.completed = true;
+  out = std::move(loaded);
+  return true;
 }
 
 struct PreparedRun {
@@ -346,6 +341,10 @@ Expected<std::vector<RunResult>> execute_plan(const RunPlan& plan,
       }
       ScenarioRunOptions overrides;
       overrides.seed = p.run.seed;
+      if (!overrides.seed.has_value() && plan.replicates > 1) {
+        // No seed axis: replicates derive from the scenario's own seed.
+        overrides.seed = derive_seed(spec->engine.seed, p.run.replicate);
+      }
       overrides.learner = p.run.learner_override;
       overrides.selector = p.run.selector_override;
       auto resolved = resolve_scenario(*spec, overrides);

@@ -47,6 +47,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,18 +65,20 @@ struct RunPlan {
   /// Ignored (and not required in the JSON) for scenario plans.
   EngineSpec base;
 
-  /// Grid axes; an empty axis means "use the base spec's value".
+  /// Grid axes; an empty axis means "use the base spec's value" (for
+  /// scenario plans: the scenario's own value).
   std::vector<std::string> learners;
   std::vector<std::string> selectors;
   std::vector<std::uint64_t> seeds;
   /// Scenario grid ("grid.scenarios"): registry names resolved through
   /// make_named_scenario. When non-empty the plan expands to scenario runs
   /// only — scenarios × learners × selectors × seeds × replicates, where an
-  /// empty learner/selector axis means "the scenario's own" rather than the
-  /// base spec's, and the run seed reseeds the whole scenario
-  /// (ScenarioRunOptions). checkpoint_every / max_steps do not apply to
-  /// scenario runs: a scenario replays in one piece (its drift schedule
-  /// already exercises snapshot/restore internally).
+  /// empty learner/selector/seed axis means "the scenario's own" rather than
+  /// the base spec's, and a run seed reseeds the whole scenario
+  /// (ScenarioRunOptions). Without a seed axis, replicate r reseeds with
+  /// derive_seed(scenario engine seed, r). checkpoint_every / max_steps do
+  /// not apply to scenario runs: a scenario replays in one piece (its drift
+  /// schedule already exercises snapshot/restore internally).
   std::vector<std::string> scenarios;
   /// Runs per grid point. Replicate r of seed s runs with derive_seed(s, r)
   /// (replicates == 1 uses s itself).
@@ -88,12 +91,13 @@ struct RunPlan {
     std::string name;  // "run-012-rf-ip-s42" (index prefix fixes the order)
     EngineSpec spec;
     /// Scenario runs only: the registry name, the per-run overrides handed
-    /// to run_scenario ("" = the scenario's own component) and the run
-    /// seed. `spec` is unused for these.
+    /// to run_scenario ("" / nullopt = the scenario's own component or
+    /// seed) and the replicate index. `spec` is unused for these.
     std::string scenario;
     std::string learner_override;
     std::string selector_override;
-    std::uint64_t seed = 0;
+    std::optional<std::uint64_t> seed;
+    std::size_t replicate = 0;
   };
   /// Deterministic cross-product expansion.
   std::vector<Run> expand() const;

@@ -32,7 +32,8 @@ struct EditFixture {
 
 TEST(Audit, RecordCapturesEditLineage) {
   EditFixture fx;
-  const auto result = frote_edit(fx.train, fx.learner, fx.frs, fx.config);
+  const auto result =
+      testing::run_edit(fx.train, fx.learner, fx.frs, fx.config);
   const auto record =
       build_audit_record(fx.train, fx.frs, fx.config, result);
   EXPECT_EQ(record.original_rows, fx.train.size());
@@ -47,7 +48,8 @@ TEST(Audit, RecordCapturesEditLineage) {
 
 TEST(Audit, RulesInReportAreReparsable) {
   EditFixture fx;
-  const auto result = frote_edit(fx.train, fx.learner, fx.frs, fx.config);
+  const auto result =
+      testing::run_edit(fx.train, fx.learner, fx.frs, fx.config);
   const auto record =
       build_audit_record(fx.train, fx.frs, fx.config, result);
   for (const auto& text : record.rules) {
@@ -58,7 +60,8 @@ TEST(Audit, RulesInReportAreReparsable) {
 
 TEST(Audit, ReportContainsAllSections) {
   EditFixture fx;
-  const auto result = frote_edit(fx.train, fx.learner, fx.frs, fx.config);
+  const auto result =
+      testing::run_edit(fx.train, fx.learner, fx.frs, fx.config);
   const auto report = audit_report_string(
       build_audit_record(fx.train, fx.frs, fx.config, result));
   for (const char* section :
@@ -70,7 +73,8 @@ TEST(Audit, ReportContainsAllSections) {
 
 TEST(Audit, TraceRowsMatchIterations) {
   EditFixture fx;
-  const auto result = frote_edit(fx.train, fx.learner, fx.frs, fx.config);
+  const auto result =
+      testing::run_edit(fx.train, fx.learner, fx.frs, fx.config);
   const auto record =
       build_audit_record(fx.train, fx.frs, fx.config, result);
   // Trace has the initial point plus one row per loop iteration that

@@ -322,8 +322,7 @@ TEST(Checkpoint, CorruptOnDiskCheckpointIsQuarantinedAndRunRestartsFresh) {
   EXPECT_EQ(read_file_validated(clean_ckpt, text), ValidatedRead::kOk);
   EXPECT_TRUE(SessionCheckpoint::parse(text).has_value());
   resume(clean);
-  EXPECT_FALSE(fs::exists(clean / "run-000-rf-random-s1-r0" /
-                          "checkpoint.json.corrupt"));
+  EXPECT_FALSE(fs::exists(clean_ckpt.string() + ".corrupt"));
 
   // Corruption corpus: each flavour quarantines and restarts fresh.
   const auto corrupt_truncate = [](std::string bytes) {
@@ -355,6 +354,18 @@ TEST(Checkpoint, CorruptOnDiskCheckpointIsQuarantinedAndRunRestartsFresh) {
     EXPECT_TRUE(fs::exists(ckpt.string() + ".corrupt"))
         << label << ": corrupt checkpoint was not quarantined";
   }
+
+  // A result.json of the right format but with fields missing does not
+  // mark the run completed: resume picks it back up from its checkpoint.
+  const fs::path partial = fs::path("checkpoint_scratch") / "partial-result";
+  fs::remove_all(partial);
+  const fs::path partial_ckpt = interrupt(partial);
+  std::ofstream result_file(partial_ckpt.parent_path() / "result.json",
+                            std::ios::trunc);
+  result_file << "{\"format\":\"frote.run_result\",\"version\":1,"
+                 "\"name\":\"x\"}";
+  result_file.close();
+  resume(partial);
 }
 
 TEST(Rng, StateRoundTripResumesStreamExactly) {

@@ -45,7 +45,7 @@ FroteResult run_frote(std::uint64_t seed) {
   // kNone keeps the conflicting labels in place, so alignment must come from
   // synthetic instances — guaranteeing the RNG-driven path actually runs.
   config.mod_strategy = ModStrategy::kNone;
-  return frote_edit(data, learner, frs, config);
+  return testing::run_edit(data, learner, frs, config);
 }
 
 TEST(Determinism, SameSeedSameAugmentation) {

@@ -1,9 +1,5 @@
 // Engine/Session API contract: builder validation, step()-vs-run()
-// equivalence, observer ordering, pluggable stopping/acceptance, and the
-// load-bearing shim guarantee — frote_edit() and Engine/Session produce
-// bit-identical augmented datasets for the same seed (this extends
-// tests/test_determinism.cpp's seed → bit-identical contract across the two
-// API surfaces, for all three mod strategies).
+// equivalence, observer ordering and pluggable stopping/acceptance.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,17 +37,6 @@ struct Fixture {
     Engine::Builder b;
     b.rules(frs).tau(6).q(0.4).k(5).seed(seed).mod_strategy(mod);
     return b;
-  }
-
-  FroteConfig config(ModStrategy mod = ModStrategy::kNone,
-                     std::uint64_t seed = 99) const {
-    FroteConfig c;
-    c.tau = 6;
-    c.q = 0.4;
-    c.k = 5;
-    c.seed = seed;
-    c.mod_strategy = mod;
-    return c;
   }
 };
 
@@ -117,54 +102,17 @@ TEST(Engine, OpenRejectsEmptyDataset) {
 }
 
 // ---------------------------------------------------------------------------
-// Shim equivalence: frote_edit() over Engine/Session must be bit-identical
-// to driving the Session directly, for every mod strategy.
+// step() vs run()
 
-void expect_shim_matches_session(ModStrategy mod) {
-  Fixture fx;
-  const auto shim = frote_edit(fx.train, fx.learner, fx.frs, fx.config(mod));
-
-  const auto engine = fx.builder(mod).build().value();
-  auto session = engine.open(fx.train, fx.learner).value();
-  session.run();
-  const auto direct = std::move(session).result();
-
-  EXPECT_EQ(shim.instances_added, direct.instances_added);
-  EXPECT_EQ(shim.iterations_run, direct.iterations_run);
-  EXPECT_EQ(shim.iterations_accepted, direct.iterations_accepted);
-  ASSERT_EQ(shim.trace.size(), direct.trace.size());
-  for (std::size_t i = 0; i < shim.trace.size(); ++i) {
-    EXPECT_EQ(shim.trace[i].iteration, direct.trace[i].iteration);
-    EXPECT_EQ(shim.trace[i].instances_added, direct.trace[i].instances_added);
-    EXPECT_EQ(shim.trace[i].train_j_hat_bar, direct.trace[i].train_j_hat_bar);
-    EXPECT_EQ(shim.trace[i].accepted, direct.trace[i].accepted);
-  }
-  expect_bit_identical(shim.augmented, direct.augmented);
-}
-
-TEST(EngineShim, BitIdenticalToSessionModNone) {
-  expect_shim_matches_session(ModStrategy::kNone);
-}
-
-TEST(EngineShim, BitIdenticalToSessionModRelabel) {
-  expect_shim_matches_session(ModStrategy::kRelabel);
-}
-
-TEST(EngineShim, BitIdenticalToSessionModDrop) {
-  expect_shim_matches_session(ModStrategy::kDrop);
-}
-
-TEST(EngineShim, AugmentationIsExercised) {
-  // The equivalence above must not be vacuous: the kNone scenario has to add
+TEST(Session, AugmentationIsExercised) {
+  // The equivalences below must not be vacuous: the kNone fixture has to add
   // synthetic instances (same guard as test_determinism.cpp).
   Fixture fx;
-  const auto result =
-      frote_edit(fx.train, fx.learner, fx.frs, fx.config(ModStrategy::kNone));
-  EXPECT_GT(result.instances_added, 0u);
+  const auto engine = fx.builder(ModStrategy::kNone).build().value();
+  auto session = engine.open(fx.train, fx.learner).value();
+  session.run();
+  EXPECT_GT(session.progress().instances_added, 0u);
 }
-
-// ---------------------------------------------------------------------------
-// step() vs run()
 
 TEST(Session, ManualSteppingMatchesRun) {
   Fixture fx;
@@ -300,23 +248,30 @@ TEST(Observer, SessionLevelObserverSeesSameStepsAsEngineLevel) {
   EXPECT_EQ(engine_tail, session_observer->events);
 }
 
-TEST(Observer, ShimAcceptCallbackStillFires) {
+TEST(Observer, CallbackObserverAcceptFiresOncePerAcceptedStep) {
   Fixture fx;
   std::size_t calls = 0;
-  const auto result =
-      frote_edit(fx.train, fx.learner, fx.frs, fx.config(ModStrategy::kNone),
-                 [&](const Model&, std::size_t) { ++calls; });
+  auto counter = std::make_shared<CallbackObserver>();
+  counter->accept = [&](const Model&, std::size_t) { ++calls; };
+  const auto engine = fx.builder(ModStrategy::kNone).build().value();
+  auto session = engine.open(fx.train, fx.learner).value();
+  session.add_observer(counter);
+  session.run();
+  const auto result = std::move(session).result();
+  EXPECT_GT(calls, 0u);
   EXPECT_EQ(calls, result.iterations_accepted);
 }
 
 // ---------------------------------------------------------------------------
 // Pluggable policies and stopping criteria
 
-TEST(Policies, AlwaysAcceptPolicyMatchesLegacyFlag) {
+TEST(Policies, AlwaysAcceptPolicyMatchesAcceptAlwaysFlag) {
   Fixture fx;
-  auto legacy_config = fx.config(ModStrategy::kNone);
-  legacy_config.accept_always = true;
-  const auto legacy = frote_edit(fx.train, fx.learner, fx.frs, legacy_config);
+  const auto flag_engine =
+      fx.builder(ModStrategy::kNone).accept_always(true).build().value();
+  auto flag_session = flag_engine.open(fx.train, fx.learner).value();
+  flag_session.run();
+  const auto flag = std::move(flag_session).result();
 
   const auto engine = fx.builder(ModStrategy::kNone)
                           .acceptance(std::make_shared<AlwaysAcceptPolicy>())
@@ -326,8 +281,8 @@ TEST(Policies, AlwaysAcceptPolicyMatchesLegacyFlag) {
   session.run();
   const auto direct = std::move(session).result();
 
-  EXPECT_EQ(legacy.instances_added, direct.instances_added);
-  expect_bit_identical(legacy.augmented, direct.augmented);
+  EXPECT_EQ(flag.instances_added, direct.instances_added);
+  expect_bit_identical(flag.augmented, direct.augmented);
   // accept-always means every trained batch was kept.
   EXPECT_EQ(direct.iterations_accepted, direct.trace.size() - 1);
 }

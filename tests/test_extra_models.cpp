@@ -124,7 +124,7 @@ TEST_P(ModelAgnosticism, FroteEditsAnyLearner) {
   FroteConfig config;
   config.tau = 15;
   config.eta = 25;
-  auto result = frote_edit(sparse, *learner, frs, config);
+  auto result = testing::run_edit(sparse, *learner, frs, config);
   const auto before = rule_agreement(*initial, frs.rule(0), result.augmented);
   const auto after =
       rule_agreement(*result.model, frs.rule(0), result.augmented);

@@ -4,9 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "frote/core/frote.hpp"
+#include "frote/core/engine.hpp"
 #include "frote/ml/decision_tree.hpp"
 #include "frote/ml/logistic_regression.hpp"
 #include "test_util.hpp"
@@ -61,7 +62,7 @@ TEST(Frote, ImprovesTestJBarOverInitialModel) {
   const auto initial = learner.train(s.train);
   const double j_initial = test_j_bar(*initial, s.frs, s.test);
 
-  auto result = frote_edit(s.train, learner, s.frs, quick_config());
+  auto result = testing::run_edit(s.train, learner, s.frs, quick_config());
   const double j_final = test_j_bar(*result.model, s.frs, s.test);
   EXPECT_GT(j_final, j_initial);
   EXPECT_GT(result.instances_added, 0u);
@@ -72,7 +73,7 @@ TEST(Frote, RelabelAloneHandledThenAugmentationRefines) {
   DecisionTreeLearner learner;
   auto config = quick_config();
   config.mod_strategy = ModStrategy::kRelabel;
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  auto result = testing::run_edit(s.train, learner, s.frs, config);
   // Relabel + augmentation must reach near-perfect rule agreement.
   const auto breakdown = evaluate_objective(*result.model, s.frs, s.test);
   EXPECT_GT(breakdown.mra, 0.9);
@@ -85,7 +86,7 @@ TEST(Frote, QuotaBoundsInstancesAdded) {
   auto config = quick_config();
   config.q = 0.1;
   config.eta = 10;
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  auto result = testing::run_edit(s.train, learner, s.frs, config);
   // N may exceed q|D| by at most one batch (the loop checks before adding).
   EXPECT_LE(result.instances_added,
             static_cast<std::size_t>(0.1 * 400) + config.eta);
@@ -96,14 +97,15 @@ TEST(Frote, IterationLimitRespected) {
   DecisionTreeLearner learner;
   auto config = quick_config();
   config.tau = 7;
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  auto result = testing::run_edit(s.train, learner, s.frs, config);
   EXPECT_LE(result.iterations_run, 7u);
 }
 
 TEST(Frote, EmptyFrsIsNoOp) {
   auto s = policy_change_scenario(66);
   DecisionTreeLearner learner;
-  auto result = frote_edit(s.train, learner, FeedbackRuleSet{}, quick_config());
+  auto result =
+      testing::run_edit(s.train, learner, FeedbackRuleSet{}, quick_config());
   EXPECT_EQ(result.instances_added, 0u);
   EXPECT_EQ(result.augmented.size(), s.train.size());
 }
@@ -113,7 +115,7 @@ TEST(Frote, AugmentedDatasetContainsOriginalRows) {
   DecisionTreeLearner learner;
   auto config = quick_config();
   config.mod_strategy = ModStrategy::kNone;
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  auto result = testing::run_edit(s.train, learner, s.frs, config);
   ASSERT_GE(result.augmented.size(), s.train.size());
   for (std::size_t i = 0; i < s.train.size(); ++i) {
     EXPECT_EQ(result.augmented.label(i), s.train.label(i));
@@ -128,7 +130,7 @@ TEST(Frote, SyntheticRowsSatisfyTheRule) {
   DecisionTreeLearner learner;
   auto config = quick_config();
   config.mod_strategy = ModStrategy::kNone;  // keep row count bookkeeping easy
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  auto result = testing::run_edit(s.train, learner, s.frs, config);
   for (std::size_t i = s.train.size(); i < result.augmented.size(); ++i) {
     EXPECT_TRUE(s.frs.rule(0).covers(result.augmented.row(i)));
     EXPECT_EQ(result.augmented.label(i), 0);
@@ -138,8 +140,8 @@ TEST(Frote, SyntheticRowsSatisfyTheRule) {
 TEST(Frote, DeterministicGivenSeed) {
   auto s = policy_change_scenario(99);
   DecisionTreeLearner learner;
-  auto r1 = frote_edit(s.train, learner, s.frs, quick_config());
-  auto r2 = frote_edit(s.train, learner, s.frs, quick_config());
+  auto r1 = testing::run_edit(s.train, learner, s.frs, quick_config());
+  auto r2 = testing::run_edit(s.train, learner, s.frs, quick_config());
   EXPECT_EQ(r1.instances_added, r2.instances_added);
   ASSERT_EQ(r1.augmented.size(), r2.augmented.size());
   for (std::size_t i = 0; i < r1.augmented.size(); ++i) {
@@ -150,7 +152,7 @@ TEST(Frote, DeterministicGivenSeed) {
 TEST(Frote, TraceIsMonotoneInInstancesAndStartsAtZero) {
   auto s = policy_change_scenario(111);
   DecisionTreeLearner learner;
-  auto result = frote_edit(s.train, learner, s.frs, quick_config());
+  auto result = testing::run_edit(s.train, learner, s.frs, quick_config());
   ASSERT_FALSE(result.trace.empty());
   EXPECT_EQ(result.trace.front().instances_added, 0u);
   std::size_t last_accepted = 0;
@@ -166,7 +168,7 @@ TEST(Frote, TraceIsMonotoneInInstancesAndStartsAtZero) {
 TEST(Frote, AcceptedJHatNeverDecreases) {
   auto s = policy_change_scenario(122);
   DecisionTreeLearner learner;
-  auto result = frote_edit(s.train, learner, s.frs, quick_config());
+  auto result = testing::run_edit(s.train, learner, s.frs, quick_config());
   double last = -1.0;
   for (const auto& point : result.trace) {
     if (!point.accepted) continue;
@@ -181,17 +183,26 @@ TEST(Frote, AcceptAlwaysAblationAddsMore) {
   auto strict = quick_config();
   auto always = quick_config();
   always.accept_always = true;
-  auto r_strict = frote_edit(s.train, learner, s.frs, strict);
-  auto r_always = frote_edit(s.train, learner, s.frs, always);
+  auto r_strict = testing::run_edit(s.train, learner, s.frs, strict);
+  auto r_always = testing::run_edit(s.train, learner, s.frs, always);
   EXPECT_GE(r_always.instances_added, r_strict.instances_added);
 }
 
-TEST(Frote, OnAcceptCallbackFires) {
+TEST(Frote, AcceptObserverFiresOncePerAcceptedStep) {
   auto s = policy_change_scenario(144);
   DecisionTreeLearner learner;
   std::size_t calls = 0;
-  auto result = frote_edit(s.train, learner, s.frs, quick_config(),
-                           [&](const Model&, std::size_t) { ++calls; });
+  auto counter = std::make_shared<CallbackObserver>();
+  counter->accept = [&](const Model&, std::size_t) { ++calls; };
+  const auto engine = Engine::Builder()
+                          .from_config(quick_config())
+                          .rules(s.frs)
+                          .observer(counter)
+                          .build()
+                          .value();
+  auto session = engine.open(s.train, learner).value();
+  session.run();
+  const auto result = std::move(session).result();
   EXPECT_EQ(calls, result.iterations_accepted);
 }
 
@@ -199,11 +210,10 @@ TEST(Frote, WorksWithIpSelection) {
   auto s = policy_change_scenario(155);
   DecisionTreeLearner learner;
   auto config = quick_config();
-  config.selection = SelectionStrategy::kIp;
   config.tau = 10;
   const auto initial = learner.train(s.train);
   const double j_initial = test_j_bar(*initial, s.frs, s.test);
-  auto result = frote_edit(s.train, learner, s.frs, config);
+  auto result = testing::run_edit(s.train, learner, s.frs, config, "ip");
   EXPECT_GE(test_j_bar(*result.model, s.frs, s.test), j_initial);
 }
 
@@ -228,7 +238,7 @@ TEST(Frote, LinearModelNeedsAndGetsBoundaryShift) {
   config.mod_strategy = ModStrategy::kNone;
   const auto initial = learner.train(train);
   const auto before = evaluate_objective(*initial, frs, test);
-  auto result = frote_edit(train, learner, frs, config);
+  auto result = testing::run_edit(train, learner, frs, config);
   const auto after = evaluate_objective(*result.model, frs, test);
   EXPECT_GT(after.mra, before.mra);
   // Outside-coverage F1 must not collapse (the paper's key claim).
@@ -250,7 +260,7 @@ TEST(Frote, ZeroCoverageRuleHandledThroughRelaxation) {
   FeedbackRuleSet frs({rule});
   DecisionTreeLearner learner;
   auto config = quick_config();
-  auto result = frote_edit(train, learner, frs, config);
+  auto result = testing::run_edit(train, learner, frs, config);
   // Synthetic instances must exist in the empty region and satisfy the rule.
   bool any_synthetic_in_region = false;
   for (std::size_t i = train.size(); i < result.augmented.size(); ++i) {

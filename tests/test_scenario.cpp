@@ -556,7 +556,8 @@ TEST(RunPlanScenarios, GridParsesExpandsDeterministicallyAndRoundTrips) {
   EXPECT_EQ(runs[0].scenario, "fairness_adult");
   EXPECT_EQ(runs[0].learner_override, "rf");
   EXPECT_EQ(runs[0].selector_override, "");
-  EXPECT_EQ(runs[1].seed, 7u);
+  ASSERT_TRUE(runs[1].seed.has_value());
+  EXPECT_EQ(*runs[1].seed, 7u);
 
   // Scenario plans omit "base" and round-trip byte-identically.
   const std::string dumped = plan->to_json_text();
@@ -604,9 +605,9 @@ std::string slurp(const fs::path& path) {
   return buffer.str();
 }
 
-TEST(RunPlanScenarios, ScratchScenarioRunsThroughTheGridWithNoEngineCode) {
-  // The acceptance demonstration: registering a new workload is JSON plus
-  // one registry entry, and the grid driver runs it like any built-in.
+/// A registered-at-runtime workload whose generator seed (4) is not the
+/// EngineSpec default (42).
+void register_scratch_grid() {
   register_scenario("scratch_grid", R"json({
   "format": "frote.scenario_spec", "version": 1,
   "name": "scratch_grid",
@@ -620,6 +621,12 @@ TEST(RunPlanScenarios, ScratchScenarioRunsThroughTheGridWithNoEngineCode) {
   },
   "expected": {"min_instances_added": 0}
 })json");
+}
+
+TEST(RunPlanScenarios, ScratchScenarioRunsThroughTheGridWithNoEngineCode) {
+  // The acceptance demonstration: registering a new workload is JSON plus
+  // one registry entry, and the grid driver runs it like any built-in.
+  register_scratch_grid();
 
   RunPlan plan;
   plan.scenarios = {"scratch_grid"};
@@ -670,6 +677,62 @@ TEST(RunPlanScenarios, ScratchScenarioRunsThroughTheGridWithNoEngineCode) {
             first->front().instances_added);
   EXPECT_EQ(slurp(run_dir / "result.json"), result_text);
 
+  // A result.json of the right format but with fields missing is not a
+  // completed run: resume re-executes it and rewrites the same bytes.
+  std::ofstream(run_dir / "result.json", std::ios::trunc)
+      << "{\"format\":\"frote.scenario_result\",\"version\":1,"
+         "\"scenario\":\"scratch_grid\"}";
+  auto rerun = execute_plan(plan, options);
+  ASSERT_TRUE(rerun.has_value()) << rerun.error().message;
+  EXPECT_TRUE(rerun->front().completed);
+  EXPECT_EQ(rerun->front().instances_added, first->front().instances_added);
+  EXPECT_EQ(slurp(run_dir / "result.json"), result_text);
+
+  fs::remove_all(root);
+}
+
+TEST(RunPlanScenarios, EmptySeedAxisKeepsTheScenariosOwnSeeds) {
+  // Like the empty learner/selector axes, no "grid.seeds" means no
+  // override: the run replays the registered document as written.
+  register_scratch_grid();
+  RunPlan plan;
+  plan.scenarios = {"scratch_grid"};
+  plan.threads = 1;
+  const auto runs = plan.expand();
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].name, "run-000-scratch_grid");
+  EXPECT_FALSE(runs[0].seed.has_value());
+
+  const fs::path root =
+      fs::temp_directory_path() / "frote_test_scenario_own_seed";
+  fs::remove_all(root);
+  RunPlanOptions options;
+  options.output_dir = root.string();
+  auto results = execute_plan(plan, options);
+  ASSERT_TRUE(results.has_value()) << results.error().message;
+  ASSERT_EQ(results->size(), 1u);
+
+  auto spec = make_named_scenario("scratch_grid");
+  ASSERT_TRUE(spec.has_value()) << spec.error().message;
+  auto direct = run_scenario(*spec);
+  ASSERT_TRUE(direct.has_value()) << direct.error().message;
+  EXPECT_EQ(slurp(root / "run-000-scratch_grid" / "result.json"),
+            direct->to_json_text() + "\n");
+
+  // Replicates without a seed axis derive from the scenario's own seed.
+  plan.replicates = 2;
+  fs::remove_all(root);
+  auto replicated = execute_plan(plan, options);
+  ASSERT_TRUE(replicated.has_value()) << replicated.error().message;
+  ASSERT_EQ(replicated->size(), 2u);
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    const std::string name = "run-00" + std::to_string(r) + "-scratch_grid-r" +
+                             std::to_string(r);
+    auto result = json_parse(slurp(root / name / "result.json"));
+    ASSERT_TRUE(result.has_value()) << result.error().message;
+    EXPECT_EQ(result->find("seed")->as_uint64(),
+              derive_seed(spec->engine.seed, r));
+  }
   fs::remove_all(root);
 }
 

@@ -127,18 +127,34 @@ TEST(EngineSpec, SpecDrivenEngineMatchesImperativeEngine) {
 }
 
 TEST(EngineSpec, LastSelectorChoiceWins) {
-  // The three selector setters (registry name, enum, component instance)
-  // override each other in call order; to_spec() reflects the final one.
+  // The selector setters (registry name, component instance) override each
+  // other in call order; to_spec() reflects the final one.
   const auto schema = testing::mixed_schema();
   auto engine = Engine::Builder::from_spec(small_spec(), *schema)  // random
                     .value()
-                    .selection(SelectionStrategy::kIp)
+                    .selector("ip")
                     .build()
                     .value();
   EXPECT_EQ(engine.to_spec()->selector, "ip");
+  auto name_then_name = Engine::Builder::from_spec(small_spec(), *schema)
+                            .value()
+                            .selector("ip")
+                            .selector("online-proxy")
+                            .build()
+                            .value();
+  EXPECT_EQ(name_then_name.to_spec()->selector, "online-proxy");
+  // An instance has no declarative name, so to_spec() refuses it...
+  auto to_instance = Engine::Builder::from_spec(small_spec(), *schema)
+                         .value()
+                         .selector("online-proxy")
+                         .selector(std::make_shared<IpSelector>())
+                         .build()
+                         .value();
+  EXPECT_FALSE(to_instance.to_spec().has_value());
+  // ...until a later name replaces it.
   auto back_to_name = Engine::Builder::from_spec(small_spec(), *schema)
                           .value()
-                          .selection(SelectionStrategy::kIp)
+                          .selector(std::make_shared<IpSelector>())
                           .selector("online-proxy")
                           .build()
                           .value();
@@ -213,7 +229,7 @@ TEST(EngineSpec, ImperativeEnginesSynthesizeSpecsWhenRepresentable) {
   const auto engine = Engine::Builder()
                           .rules(frs)
                           .tau(7)
-                          .selection(SelectionStrategy::kIp)
+                          .selector("ip")
                           .build()
                           .value();
   // Rule text needs a schema on this path.

@@ -3,7 +3,9 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
+#include "frote/core/engine.hpp"
 #include "frote/data/dataset.hpp"
 #include "frote/rules/rule.hpp"
 #include "frote/util/rng.hpp"
@@ -61,6 +63,19 @@ inline Dataset blobs_dataset(std::size_t n_per_class = 100,
 inline FeedbackRule x_gt_rule(double lo, int target = 1) {
   Clause clause({Predicate{0, Op::kGt, lo}});
   return FeedbackRule::deterministic(clause, target, 2);
+}
+
+/// One whole edit through Engine/Session: build from `config` + `frs`, open
+/// a session on (data, learner) and run it to the stopping criterion.
+inline FroteResult run_edit(const Dataset& data, const Learner& learner,
+                            const FeedbackRuleSet& frs,
+                            const FroteConfig& config,
+                            std::string selector = "random") {
+  const auto engine = Engine::Builder().from_config(config).rules(frs)
+                          .selector(std::move(selector)).build().value();
+  auto session = engine.open(data, learner).value();
+  session.run();
+  return std::move(session).result();
 }
 
 }  // namespace frote::testing

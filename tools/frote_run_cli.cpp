@@ -170,7 +170,8 @@ int run(const Options& options) {
         if (!run.selector_override.empty()) {
           std::cout << " selector=" << run.selector_override;
         }
-        std::cout << " seed=" << run.seed << "\n";
+        if (run.seed.has_value()) std::cout << " seed=" << *run.seed;
+        std::cout << "\n";
         continue;
       }
       std::cout << run.name << ": learner=" << run.spec.learner
