@@ -52,7 +52,6 @@ struct Registry {
     learners["gbdt"] = [](const LearnerSpec& spec) -> std::unique_ptr<Learner> {
       GbdtConfig config;
       config.num_rounds = spec.fast ? 15 : 60;
-      config.seed = spec.seed;
       config.threads = spec.threads;
       return std::make_unique<GbdtLearner>(config);
     };
@@ -74,7 +73,6 @@ struct Registry {
       GbdtConfig config;
       config.num_rounds = spec.fast ? 15 : 60;
       config.update_rounds = spec.fast ? 3 : 5;
-      config.seed = spec.seed;
       config.threads = spec.threads;
       return std::make_unique<GbdtAdditiveLearner>(config);
     };

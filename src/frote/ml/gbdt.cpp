@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <queue>
 #include <utility>
+#include <vector>
 
 #include "frote/ml/logistic_regression.hpp"  // softmax_inplace
 #include "frote/ml/split_radix.hpp"
@@ -12,8 +15,9 @@
 namespace frote {
 
 namespace {
-/// Rows per chunk for the gradient/hessian and score-update sweeps. Each row
-/// is written independently, so any thread count is trivially bit-identical.
+/// Rows per chunk for the gradient/hessian sweep and the update's score
+/// replay. Each row is written independently, so any thread count is
+/// trivially bit-identical.
 constexpr std::size_t kRowGrain = 512;
 }  // namespace
 
@@ -76,11 +80,12 @@ struct SplitChoice {
   bool valid = false;
 };
 
-/// Leaf under construction during leaf-wise growth.
+/// Leaf under construction during leaf-wise growth. Its rows occupy
+/// [begin, end) of every per-feature row list (see TreeGrower).
 struct Leaf {
   int node_id = 0;
   std::size_t depth = 0;
-  std::vector<std::size_t> indices;
+  std::size_t begin = 0, end = 0;
   double sum_g = 0.0, sum_h = 0.0;
   SplitChoice split;
 };
@@ -91,19 +96,76 @@ struct LeafGainCmp {
   }
 };
 
+/// Per-thread split-search scratch. find_split fans features out across
+/// pool threads, so these buffers cannot live on the (shared) grower;
+/// after warm-up each worker reuses its own.
+struct SplitScratch {
+  std::vector<double> cuts;
+  std::vector<double> gs, hs;
+  std::vector<std::size_t> counts;
+  std::vector<std::uint32_t> rights;
+};
+
+SplitScratch& split_scratch() {
+  thread_local SplitScratch scratch;
+  return scratch;
+}
+
+/// Grows the trees of one boost_rounds call with the exact presorted
+/// ("SLIQ" / XGBoost-exact) split search. The constructor sorts every
+/// numeric column once, by (split_value_key(value), row); every tree
+/// starts from that order, and each split stable-partitions its leaf's
+/// range of every list into the two children. A stable partition of a
+/// (key, row)-sorted list is that subset's (key, row) order, which is what
+/// a stable sort of the leaf's ascending rows at every node produced, so
+/// cuts, g/h prefix sums and trees are bit-identical to sorting per node.
+///
+/// List 0 holds the rows in ascending order: leaf sums and categorical
+/// features read it. Each numeric feature has its own list. The root reads
+/// the presorted lists; splits write into one shared working buffer in
+/// which every leaf owns [begin, end) of each list, the same layout as the
+/// decision-tree builder's order_, so a tree never copies the root lists.
 class TreeGrower {
  public:
   TreeGrower(const Dataset& data, const std::vector<double>& g,
              const std::vector<double>& h, const GbdtConfig& config)
-      : data_(data), g_(g), h_(h), config_(config) {}
+      : data_(data), g_(g), h_(h), config_(config), n_(data.size()) {
+    const std::size_t features = data_.num_features();
+    list_of_.assign(features, 0);
+    for (std::size_t f = 0; f < features; ++f) {
+      if (!data_.schema().feature(f).is_categorical()) {
+        list_of_[f] = num_lists_++;
+      }
+    }
+    sorted_.resize(num_lists_ * n_);
+    order_.resize(num_lists_ * n_);
+    columns_.resize((num_lists_ - 1) * n_);
+    side_.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      sorted_[i] = static_cast<std::uint32_t>(i);
+    }
+    // One stable LSD radix per numeric column over ascending rows (the
+    // shared ml/split_radix.hpp kernel), so every double, -0.0 and NaN
+    // included, lands where the per-node sort put it. -0.0 folds onto
+    // +0.0 so the two zero encodings stay one tie group, as they are under
+    // double comparison.
+    parallel_for(features, 1, config_.threads,
+                 [&](std::size_t begin, std::size_t end) {
+                   for (std::size_t f = begin; f < end; ++f) {
+                     if (list_of_[f] != 0) presort(f);
+                   }
+                 });
+  }
 
-  GbdtTree grow() {
+  /// Grows one tree against the current g/h and adds its leaf values to
+  /// score column k (scores is row-major n x dims).
+  GbdtTree grow(std::vector<double>& scores, std::size_t dims,
+                std::size_t k) {
     GbdtTree tree;
     auto root = std::make_unique<Leaf>();
     root->node_id = 0;
+    root->end = n_;
     tree.nodes.push_back({});
-    root->indices.resize(data_.size());
-    for (std::size_t i = 0; i < data_.size(); ++i) root->indices[i] = i;
     accumulate(*root);
     find_split(*root);
 
@@ -118,27 +180,25 @@ class TreeGrower {
       frontier.pop();
       if (!leaf->split.valid || leaf->split.gain <= 0.0) continue;
 
+      const std::size_t nl = mark_sides(*leaf);
+      if (nl < config_.min_samples_leaf ||
+          leaf->end - leaf->begin - nl < config_.min_samples_leaf) {
+        continue;
+      }
+      partition(*leaf, nl);
       auto left = std::make_unique<Leaf>();
       auto right = std::make_unique<Leaf>();
       left->depth = right->depth = leaf->depth + 1;
-      for (std::size_t idx : leaf->indices) {
-        const double x = data_.row(idx)[leaf->split.feature];
-        const bool go_left = leaf->split.categorical
-                                 ? (x == leaf->split.threshold)
-                                 : (x <= leaf->split.threshold);
-        (go_left ? left : right)->indices.push_back(idx);
-      }
-      if (left->indices.size() < config_.min_samples_leaf ||
-          right->indices.size() < config_.min_samples_leaf) {
-        continue;
-      }
-      accumulate(*left);
-      accumulate(*right);
-
+      left->begin = leaf->begin;
+      left->end = right->begin = leaf->begin + nl;
+      right->end = leaf->end;
       left->node_id = static_cast<int>(tree.nodes.size());
       tree.nodes.push_back({});
       right->node_id = static_cast<int>(tree.nodes.size());
       tree.nodes.push_back({});
+      // Only now: list() tells the root's presorted lists by node id 0.
+      accumulate(*left);
+      accumulate(*right);
       // Take the parent reference only after the push_backs above: they can
       // reallocate the node vector.
       auto& parent = tree.nodes[static_cast<std::size_t>(leaf->node_id)];
@@ -157,23 +217,107 @@ class TreeGrower {
       ++num_leaves;
     }
 
-    // Finalize leaf values: -G/(H+λ), damped by the learning rate.
+    // Finalize leaf values, -G/(H+λ) damped by the learning rate, and add
+    // each to its rows' scores: the partition already routed every row to
+    // the leaf tree.predict() would reach.
     for (const auto& leaf : leaves) {
       auto& node = tree.nodes[static_cast<std::size_t>(leaf->node_id)];
-      if (node.left < 0) {
-        node.value = -config_.learning_rate * leaf->sum_g /
-                     (leaf->sum_h + config_.lambda);
+      if (node.left >= 0) continue;
+      node.value = -config_.learning_rate * leaf->sum_g /
+                   (leaf->sum_h + config_.lambda);
+      const std::uint32_t* rows = list(*leaf, 0);
+      for (std::size_t i = 0; i < leaf->end - leaf->begin; ++i) {
+        scores[rows[i] * dims + k] += node.value;
       }
     }
     return tree;
   }
 
  private:
-  void accumulate(Leaf& leaf) {
+  /// Leaf's rows in list `id`: the presorted lists for the root, the
+  /// working buffer for every leaf a split produced.
+  const std::uint32_t* list(const Leaf& leaf, std::size_t id) const {
+    const auto& lists = leaf.node_id == 0 ? sorted_ : order_;
+    return lists.data() + id * n_ + leaf.begin;
+  }
+
+  void presort(std::size_t f) {
+    const std::size_t id = list_of_[f];
+    double* column = columns_.data() + (id - 1) * n_;
+    std::vector<std::uint64_t> keys[2] = {std::vector<std::uint64_t>(n_),
+                                          std::vector<std::uint64_t>(n_)};
+    std::vector<std::uint32_t> rows[2] = {std::vector<std::uint32_t>(n_),
+                                          std::vector<std::uint32_t>(n_)};
+    std::vector<std::uint32_t> hist(8 * 256, 0);
+    for (std::size_t i = 0; i < n_; ++i) {
+      double value = data_.row_ptr(i)[f];
+      if (value == 0.0) value = 0.0;  // canonicalise -0.0
+      column[i] = value;
+      const std::uint64_t key = detail::split_value_key(value);
+      keys[0][i] = key;
+      rows[0][i] = static_cast<std::uint32_t>(i);
+      for (std::size_t b = 0; b < 8; ++b) {
+        ++hist[b * 256 + ((key >> (8 * b)) & 0xFF)];
+      }
+    }
+    const int cur = detail::radix_sort_pairs(keys, rows, hist);
+    std::copy(rows[cur].begin(), rows[cur].end(),
+              sorted_.begin() + static_cast<std::ptrdiff_t>(id * n_));
+  }
+
+  /// One byte per row of the leaf: 1 iff it goes left under the leaf's
+  /// split. Returns the left count.
+  std::size_t mark_sides(const Leaf& leaf) {
+    const SplitChoice& split = leaf.split;
+    const std::uint32_t* rows = list(leaf, 0);
+    std::size_t nl = 0;
+    for (std::size_t i = 0; i < leaf.end - leaf.begin; ++i) {
+      const double x = data_.row_ptr(rows[i])[split.feature];
+      const bool go_left = split.categorical ? (x == split.threshold)
+                                             : (x <= split.threshold);
+      side_[rows[i]] = go_left ? 1 : 0;
+      nl += go_left ? 1 : 0;
+    }
+    return nl;
+  }
+
+  /// Stable partition of every list's leaf range into the working buffer:
+  /// the left child takes [begin, begin + nl), the right child the rest.
+  /// Each list is independent, so they fan out over the pool.
+  void partition(const Leaf& leaf, std::size_t nl) {
+    const std::size_t m = leaf.end - leaf.begin;
+    parallel_for(num_lists_, 1, config_.threads,
+                 [&](std::size_t begin, std::size_t end) {
+                   auto& rights = split_scratch().rights;
+                   rights.resize(m);
+                   for (std::size_t id = begin; id < end; ++id) {
+                     // In place for every leaf but the root; a write never
+                     // passes the read position, so that is safe.
+                     const std::uint32_t* src = list(leaf, id);
+                     std::uint32_t* dst =
+                         order_.data() + id * n_ + leaf.begin;
+                     std::size_t l = 0, r = 0;
+                     for (std::size_t i = 0; i < m; ++i) {
+                       const std::uint32_t row = src[i];
+                       const std::size_t go_left = side_[row];
+                       dst[l] = row;
+                       rights[r] = row;
+                       l += go_left;
+                       r += 1 - go_left;
+                     }
+                     std::copy(rights.begin(),
+                               rights.begin() + static_cast<std::ptrdiff_t>(r),
+                               dst + nl);
+                   }
+                 });
+  }
+
+  void accumulate(Leaf& leaf) const {
     leaf.sum_g = leaf.sum_h = 0.0;
-    for (std::size_t idx : leaf.indices) {
-      leaf.sum_g += g_[idx];
-      leaf.sum_h += h_[idx];
+    const std::uint32_t* rows = list(leaf, 0);
+    for (std::size_t i = 0; i < leaf.end - leaf.begin; ++i) {
+      leaf.sum_g += g_[rows[i]];
+      leaf.sum_h += h_[rows[i]];
     }
   }
 
@@ -187,14 +331,14 @@ class TreeGrower {
   /// thread count.
   void find_split(Leaf& leaf) {
     leaf.split = {};
-    if (leaf.indices.size() < 2 * config_.min_samples_leaf) return;
+    if (leaf.end - leaf.begin < 2 * config_.min_samples_leaf) return;
     const double parent_score = leaf_score(leaf.sum_g, leaf.sum_h);
     leaf.split = parallel_reduce(
         data_.num_features(), 1, config_.threads, SplitChoice{},
         [&](std::size_t begin, std::size_t end) {
           SplitChoice local;
           for (std::size_t f = begin; f < end; ++f) {
-            if (data_.schema().feature(f).is_categorical()) {
+            if (list_of_[f] == 0) {
               eval_categorical(leaf, f, parent_score, local);
             } else {
               eval_numeric(leaf, f, parent_score, local);
@@ -224,17 +368,25 @@ class TreeGrower {
                         SplitChoice& best) const {
     const std::size_t cardinality =
         data_.schema().feature(f).cardinality();
-    std::vector<double> gs(cardinality, 0.0), hs(cardinality, 0.0);
-    std::vector<std::size_t> counts(cardinality, 0);
-    for (std::size_t idx : leaf.indices) {
-      const auto code = static_cast<std::size_t>(data_.row(idx)[f]);
+    auto& scratch = split_scratch();
+    auto& gs = scratch.gs;
+    auto& hs = scratch.hs;
+    auto& counts = scratch.counts;
+    gs.assign(cardinality, 0.0);
+    hs.assign(cardinality, 0.0);
+    counts.assign(cardinality, 0);
+    const std::uint32_t* rows = list(leaf, 0);
+    const std::size_t m = leaf.end - leaf.begin;
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t idx = rows[i];
+      const auto code = static_cast<std::size_t>(data_.row_ptr(idx)[f]);
       gs[code] += g_[idx];
       hs[code] += h_[idx];
       counts[code]++;
     }
     for (std::size_t code = 0; code < cardinality; ++code) {
       if (counts[code] < config_.min_samples_leaf ||
-          leaf.indices.size() - counts[code] < config_.min_samples_leaf) {
+          m - counts[code] < config_.min_samples_leaf) {
         continue;
       }
       try_update(leaf, best, f, static_cast<double>(code), true, gs[code],
@@ -244,51 +396,20 @@ class TreeGrower {
 
   void eval_numeric(const Leaf& leaf, std::size_t f, double parent_score,
                     SplitChoice& best) const {
-    // One stable LSD radix sort over monotone-mapped keys (the shared
-    // ml/split_radix.hpp kernel the DT split search adopted in PR 4) + one
-    // prefix sweep over ascending cuts, replacing the comparison sort that
-    // kept GBDT sort-bound. Bit-identity with the old std::sort over
-    // (value, row) pairs: leaf index lists are ascending by construction
-    // and the radix is stable, so ties land in ascending row order —
-    // exactly std::sort's tie-break — and the g/h prefix sums replay the
-    // same float-add sequence. -0.0 folds onto +0.0 so the two zero
-    // encodings stay one tie group, as they were under double comparison.
-    // find_split fans features out across pool threads, so the sort
-    // scratch cannot live on the (shared) grower the way the DT version
-    // hoists it; thread-local buffers amortise the allocations instead —
-    // after warm-up each worker reuses its own.
-    struct Scratch {
-      std::vector<std::uint64_t> keys[2];
-      std::vector<std::uint32_t> rows[2];
-      std::vector<std::uint32_t> hist;
-      std::vector<double> cuts;
-    };
-    thread_local Scratch scratch;
-    const std::size_t m = leaf.indices.size();
-    auto& keys = scratch.keys;
-    auto& rows = scratch.rows;
-    keys[0].resize(m);
-    keys[1].resize(m);
-    rows[0].resize(m);
-    rows[1].resize(m);
-    auto& hist = scratch.hist;
-    hist.assign(8 * 256, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      double value = data_.row(leaf.indices[i])[f];
-      if (value == 0.0) value = 0.0;  // canonicalise -0.0
-      const std::uint64_t key = detail::split_value_key(value);
-      keys[0][i] = key;
-      rows[0][i] = static_cast<std::uint32_t>(leaf.indices[i]);
-      for (std::size_t b = 0; b < 8; ++b) {
-        ++hist[b * 256 + ((key >> (8 * b)) & 0xFF)];
-      }
+    // The leaf's rows of feature f are already in (split_value_key, row)
+    // order, so the search is the quantile cuts over that range plus one
+    // g/h prefix sweep; the sweep adds in the presorted order, replaying
+    // the float-add sequence a per-node sort produced.
+    const std::size_t id = list_of_[f];
+    const std::uint32_t* rows = list(leaf, id);
+    const double* column = columns_.data() + (id - 1) * n_;
+    const std::size_t m = leaf.end - leaf.begin;
+    const auto value_at = [&](std::size_t i) { return column[rows[i]]; };
+    if (m < 2 || detail::split_value_key(value_at(0)) ==
+                     detail::split_value_key(value_at(m - 1))) {
+      return;
     }
-    const int cur = detail::radix_sort_pairs(keys, rows, hist);
-    const auto value_at = [&](std::size_t i) {
-      return detail::split_key_value(keys[cur][i]);
-    };
-    if (keys[cur].front() == keys[cur].back()) return;
-    auto& cuts = scratch.cuts;
+    auto& cuts = split_scratch().cuts;
     cuts.clear();
     const std::size_t k = std::min(config_.numeric_cuts, m - 1);
     for (std::size_t t = 1; t <= k; ++t) {
@@ -304,8 +425,8 @@ class TreeGrower {
     std::size_t nl = 0;
     for (double cut : cuts) {
       while (nl < m && value_at(nl) <= cut) {
-        gl += g_[rows[cur][nl]];
-        hl += h_[rows[cur][nl]];
+        gl += g_[rows[nl]];
+        hl += h_[rows[nl]];
         ++nl;
       }
       if (nl < config_.min_samples_leaf ||
@@ -320,6 +441,14 @@ class TreeGrower {
   const std::vector<double>& g_;
   const std::vector<double>& h_;
   const GbdtConfig& config_;
+  const std::size_t n_;
+  std::size_t num_lists_ = 1;         // list 0 + one per numeric feature
+  std::vector<std::size_t> list_of_;  // feature -> its list (0: categorical)
+  std::vector<double> columns_;       // numeric list id's canonical values
+                                      // at (id - 1) * n + row
+  std::vector<std::uint32_t> sorted_;  // presorted root lists, id * n + i
+  std::vector<std::uint32_t> order_;   // working lists, same layout
+  std::vector<std::uint8_t> side_;     // per row: 1 iff it goes left
 };
 
 /// The boosting loop shared by GbdtLearner::train and
@@ -334,6 +463,7 @@ void boost_rounds(const Dataset& data, const GbdtConfig& config,
   trees.reserve(trees.size() + rounds * dims);
 
   std::vector<double> g(n), h(n);
+  TreeGrower grower(data, g, h, config);
   for (std::size_t round = 0; round < rounds; ++round) {
     for (std::size_t k = 0; k < dims; ++k) {
       // Gradients/hessians of logistic (binary) or softmax (multiclass)
@@ -364,15 +494,7 @@ void boost_rounds(const Dataset& data, const GbdtConfig& config,
                        }
                      }
                    });
-      TreeGrower grower(data, g, h, config);
-      GbdtTree tree = grower.grow();
-      parallel_for(n, kRowGrain, config.threads,
-                   [&](std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                       scores[i * dims + k] += tree.predict(data.row(i));
-                     }
-                   });
-      trees.push_back(std::move(tree));
+      trees.push_back(grower.grow(scores, dims, k));
     }
   }
 }

@@ -3,12 +3,13 @@
 // Second-order boosting (XGBoost/LightGBM-style gain with L2 leaf
 // regularisation), leaf-wise tree growth with a max-leaves budget, logistic
 // loss for binary problems and softmax (one tree per class per round) for
-// multiclass. LightGBM's GOSS/EFB engineering is not reproduced — it changes
+// multiclass. Splits come from an exact search over quantile cuts of
+// columns presorted once per boost (not LightGBM's 255-bin histograms).
+// LightGBM's GOSS/EFB engineering is not reproduced — it changes
 // constants, not the decision boundaries the paper's experiments depend on.
 #pragma once
 
 #include "frote/ml/model.hpp"
-#include "frote/util/rng.hpp"
 
 namespace frote {
 
@@ -21,9 +22,9 @@ struct GbdtConfig {
   double min_child_weight = 1e-3;
   std::size_t min_samples_leaf = 5;
   std::size_t numeric_cuts = 24;
-  std::uint64_t seed = 42;
-  /// Threads for the gradient sweep and per-round split search;
-  /// 0 ⇒ FROTE_NUM_THREADS. Deterministic for every value.
+  /// Threads for the gradient sweep, the per-boost presort and the
+  /// per-node split search and partition; 0 ⇒ FROTE_NUM_THREADS.
+  /// Deterministic for every value.
   int threads = 0;
   /// Boosting rounds GbdtAdditiveLearner::update() appends on top of the
   /// previous ensemble (ignored by the exact learner).

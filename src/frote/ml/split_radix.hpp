@@ -1,14 +1,19 @@
 // Shared split-search sorting kernel: a stable LSD byte-radix sort over
-// monotone-mapped double keys with a small fixed payload. Introduced for
-// the decision-tree split search (PR 4: RF train 2.92 → 1.81 ms) and reused
-// by the GBDT split search — both replace a comparison sort that dominated
-// training with branchless scatter passes, skipping passes whose byte is
-// constant across the node (exponents of a narrow value range).
+// monotone-mapped double keys with a small fixed payload, skipping passes
+// whose byte is constant across the input (exponents of a narrow value
+// range). Two callers, two cadences:
+//
+//   - The decision-tree builder sorts per node: each node radix-sorts its
+//     own rows of every candidate feature (RF draws features per node).
+//   - GBDT sorts once per boost: the tree grower radix-sorts each numeric
+//     column over all rows once, and every tree of every round reuses that
+//     order, stable-partitioning it down the tree (ml/gbdt.cpp).
 //
 // Stability is load-bearing: callers feed pairs in ascending row order, so
-// ties land exactly where a std::sort over (value, row) pairs put them, and
-// any order-sensitive accumulation downstream (GBDT's gradient prefix
-// sums) replays the same float-add sequence — trees stay bit-identical.
+// ties land in ascending row order, and any order-sensitive accumulation
+// downstream (GBDT's gradient prefix sums) replays the same float-add
+// sequence as a std::sort over (value, row) pairs — trees stay
+// bit-identical.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -155,6 +157,69 @@ TEST(Gbdt, MulticlassSoftmax) {
   const auto model = GbdtLearner().train(data);
   EXPECT_GE(train_accuracy(*model, data), 0.95);
   expect_valid_proba(*model, data);
+}
+
+/// FNV-1a over every node of every tree: feature, threshold bits,
+/// categorical, children and leaf-value bits.
+std::uint64_t tree_digest(const Model& model) {
+  const auto* gbdt = dynamic_cast<const GbdtModel*>(&model);
+  EXPECT_NE(gbdt, nullptr);
+  if (gbdt == nullptr) return 0;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (word >> (8 * b)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const auto bits = [](double v) {
+    std::uint64_t u;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
+  for (const auto& tree : gbdt->trees()) {
+    for (const auto& node : tree.nodes) {
+      mix(node.feature);
+      mix(bits(node.threshold));
+      mix(node.categorical ? 1 : 0);
+      mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(node.left)));
+      mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(node.right)));
+      mix(bits(node.value));
+    }
+  }
+  return hash;
+}
+
+TEST(Gbdt, TreesMatchPinnedDigests) {
+  // Split-search lock: these digests were taken from the per-node radix
+  // split search; any rewrite of it must grow bit-identical trees. The data
+  // covers ties, mixed -0.0/+0.0, a constant column, categoricals, binary
+  // and 7-class labels, and leaves close to min_samples_leaf. Threads
+  // follow FROTE_NUM_THREADS, so ci.sh's 4-thread leg checks the same
+  // digests with the split search on the pool.
+  GbdtConfig config;
+  config.num_rounds = 6;
+  const auto binary = testing::gbdt_stress_dataset(240, 2, 11);
+  const auto multi = testing::gbdt_stress_dataset(300, 7, 12);
+  EXPECT_EQ(tree_digest(*GbdtLearner(config).train(binary)),
+            0xad726c9b096bf513ULL);
+  EXPECT_EQ(tree_digest(*GbdtLearner(config).train(multi)),
+            0x0987811e4b18a775ULL);
+
+  GbdtConfig tight = config;
+  tight.min_samples_leaf = 12;
+  const auto small = testing::gbdt_stress_dataset(90, 2, 13);
+  EXPECT_EQ(tree_digest(*GbdtLearner(tight).train(small)),
+            0x1d2929d04a22211bULL);
+
+  // The additive update boosts on top of replayed scores over grown data.
+  GbdtConfig additive = config;
+  additive.update_rounds = 3;
+  const GbdtAdditiveLearner learner(additive);
+  const auto grown = testing::gbdt_stress_dataset(340, 7, 12);
+  const auto previous = learner.train(multi);
+  EXPECT_EQ(tree_digest(*learner.update(*previous, grown, multi.size())),
+            0x27abd1ad42cdc6bbULL);
 }
 
 TEST(OnlineLogReg, DistillsTeacher) {

@@ -59,6 +59,46 @@ inline Dataset blobs_dataset(std::size_t n_per_class = 100,
   return data;
 }
 
+/// Split-search stress data for the GBDT locks: a continuous column, a
+/// heavily tied column, a column of mixed -0.0/+0.0 with a few ±1s, a
+/// constant column, a negative column and two categoricals; `classes`
+/// labels driven by x, the ties and a categorical, with some noise.
+inline Dataset gbdt_stress_dataset(std::size_t n, std::size_t classes,
+                                   std::uint64_t seed) {
+  std::vector<std::string> labels;
+  for (std::size_t c = 0; c < classes; ++c) {
+    labels.push_back("c" + std::to_string(c));
+  }
+  auto schema = std::make_shared<Schema>(
+      std::vector<FeatureSpec>{
+          FeatureSpec::numeric("x"),
+          FeatureSpec::numeric("ties"),
+          FeatureSpec::categorical("shade", {"a", "b", "c", "d"}),
+          FeatureSpec::numeric("zeros"),
+          FeatureSpec::numeric("constant"),
+          FeatureSpec::numeric("neg"),
+          FeatureSpec::categorical("flag", {"off", "on"}),
+      },
+      labels);
+  Dataset data(schema);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = rng.uniform(0.0, 10.0);
+    const double ties = 0.5 * static_cast<double>(rng.index(4));
+    const double shade = static_cast<double>(rng.index(4));
+    const std::size_t z = rng.index(10);
+    const double zeros = z < 4 ? -0.0 : (z < 8 ? 0.0 : (z == 8 ? -1.0 : 1.0));
+    const double neg = -rng.uniform(1.0, 5.0);
+    const double flag = static_cast<double>(rng.index(2));
+    std::size_t label = static_cast<std::size_t>(x * 0.4 + ties + shade) +
+                        (zeros > 0.0 ? 1 : 0);
+    if (rng.bernoulli(0.1)) label += rng.index(classes);
+    data.add_row({x, ties, shade, zeros, 3.0, neg, flag},
+                 static_cast<int>(label % classes));
+  }
+  return data;
+}
+
 /// Rule "IF x > lo THEN pos" over the mixed schema.
 inline FeedbackRule x_gt_rule(double lo, int target = 1) {
   Clause clause({Predicate{0, Op::kGt, lo}});
