@@ -170,8 +170,7 @@ void BM_IpSelectionSized(benchmark::State& state) {
   // Cold selection cost across dataset sizes (every iteration refits the
   // distance, rebuilds the index and re-predicts — the pre-workspace
   // per-step cost; its kNN self-join dominates from 4000 rows up). The scale
-  // points run the scale tier for real: columnar chunked storage
-  // (docs/DESIGN.md §8) and, past shard_min_rows, the sharded kNN index.
+  // points run on columnar chunked storage (docs/DESIGN.md §8).
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Dataset data = adult(n);
   if (n >= 100000) data.set_storage({/*chunk_rows=*/8192, /*mmap=*/false});
@@ -186,8 +185,8 @@ void BM_IpSelectionSized(benchmark::State& state) {
   }
 }
 
-/// Scale args for BM_IpSelection: 100k always (chunked storage + sharded
-/// kNN), 1M only when FROTE_BENCH_SLOW=1 — the million-row point takes
+/// Scale args for BM_IpSelection: 100k always (chunked storage), 1M only
+/// when FROTE_BENCH_SLOW=1 — the million-row point takes
 /// minutes and is for dedicated perf runs, not the CI trend table.
 void AddIpSelectionScaleArgs(benchmark::internal::Benchmark* bench) {
   bench->Arg(100000);

@@ -36,11 +36,11 @@ echo "=== determinism leg: FROTE_NUM_THREADS=4 ==="
 # test_incremental_learners locks update() ≡ train() and the certified
 # neighborhood cache under the pool;
 # test_serve drives the daemon end-to-end (its own suites re-check 1 vs 4);
-# test_knn runs the differential kNN oracle with sharded fan-out on the pool;
+# test_knn runs the differential kNN oracle;
 # test_ml checks the pinned GBDT tree digests with the split search on the
 # pool.
 FROTE_NUM_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_chunks|test_sharded_knn|test_incremental_learners|test_knn|test_ml'
+  -R 'test_parallel|test_determinism|test_engine_api|test_workspace|test_checkpoint|test_spec|test_scenario|test_serve|test_chunks|test_incremental_learners|test_knn|test_ml'
 
 # Spec-driven leg: run a small declarative plan to completion (golden),
 # then the same plan interrupted mid-run (--max-steps leaves per-run
@@ -159,9 +159,9 @@ PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench/tests
 
 # Sanitizer leg: rebuild with AddressSanitizer + UBSan (-DFROTE_SANITIZE=ON,
 # separate build dir) and rerun the unit + chaos labels. The chunked data
-# plane and the sharded index move row storage behind raw pointers and
-# shared mmap'd chunks — exactly the kind of code ASan catches regressions
-# in that functional tests cannot — and the chaos sweep's SIGKILL/recover
+# plane moves row storage behind raw pointers and shared mmap'd chunks —
+# exactly the kind of code ASan catches regressions in that functional
+# tests cannot — and the chaos sweep's SIGKILL/recover
 # cycles run the spool validation and quarantine paths under the sanitizer
 # too. Benches and examples are skipped in this build; tools stay on
 # because test_serve / test_chaos_serve drive the real daemon. The

@@ -230,21 +230,22 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Parse a previously-written result.json; false on any mismatch — a wrong
-/// format, a missing or mistyped field — and the run is then simply
-/// re-executed. `out` is only written on success.
-bool load_run_result(const fs::path& path, RunResult& out) {
+/// Read and parse a previously-written result document of `format`;
+/// nullopt when it is missing, partial or foreign, and the run is then
+/// simply re-executed. Same refusal policy as every other document type: a
+/// result written by a newer version throws rather than being silently
+/// re-interpreted (or re-executed).
+std::optional<JsonValue> read_result_document(const fs::path& path,
+                                              const std::string& format) {
   std::string text;
-  if (!read_file(path, text)) return false;
+  if (!read_file(path, text)) return std::nullopt;
   auto json = json_parse(text);
-  if (!json) return false;
-  const JsonValue* format = json->find("format");
-  if (format == nullptr || !format->is_string() ||
-      format->as_string() != "frote.run_result") {
-    return false;
+  if (!json) return std::nullopt;
+  const JsonValue* found = json->find("format");
+  if (found == nullptr || !found->is_string() ||
+      found->as_string() != format) {
+    return std::nullopt;
   }
-  // Same refusal policy as every other document type: a result written by
-  // a newer format must not be silently re-interpreted (or re-executed).
   const JsonValue* version = json->find("version");
   if (version != nullptr && version->is_number() &&
       version->as_uint64() > 1) {
@@ -252,6 +253,14 @@ bool load_run_result(const fs::path& path, RunResult& out) {
                 std::to_string(version->as_uint64()) +
                 ", newer than this reader");
   }
+  return std::move(*json);
+}
+
+/// A previously-written, complete run result; false on a missing or
+/// mistyped field. `out` is only written on success.
+bool load_run_result(const fs::path& path, RunResult& out) {
+  const auto json = read_result_document(path, "frote.run_result");
+  if (!json) return false;
   RunResult loaded;
   JsonFieldReader reader(*json, "run result");
   reader.require("completed", loaded.completed);
@@ -267,25 +276,10 @@ bool load_run_result(const fs::path& path, RunResult& out) {
 
 /// Scenario-run counterpart of load_run_result: a previously-written,
 /// complete ScenarioReport for the same scenario counts as a completed run.
-/// Same refusal policy on a newer result version.
 bool load_scenario_result(const fs::path& path, const std::string& scenario,
                           RunResult& out) {
-  std::string text;
-  if (!read_file(path, text)) return false;
-  auto json = json_parse(text);
+  const auto json = read_result_document(path, "frote.scenario_result");
   if (!json) return false;
-  const JsonValue* format = json->find("format");
-  if (format == nullptr || !format->is_string() ||
-      format->as_string() != "frote.scenario_result") {
-    return false;
-  }
-  const JsonValue* version = json->find("version");
-  if (version != nullptr && version->is_number() &&
-      version->as_uint64() > 1) {
-    throw Error(path.string() + " has result version " +
-                std::to_string(version->as_uint64()) +
-                ", newer than this reader");
-  }
   RunResult loaded;
   std::string name;
   JsonFieldReader reader(*json, "scenario result");

@@ -71,9 +71,7 @@ std::vector<double> subset_weights(const Dataset& data, const Model& model,
     hoods = ws->neighborhoods(rows, k);
   } else {
     local_distance = MixedDistance::fit(data);
-    KnnIndexConfig index_config;
-    index_config.threads = config.threads;
-    local_knn = make_knn_index(data, *local_distance, {}, index_config);
+    local_knn = make_knn_index(data, *local_distance);
     knn = local_knn.get();
   }
   // Prediction source, cheapest first: the session's prediction cache (the

@@ -1,7 +1,6 @@
 #include "frote/core/session_pool.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -22,51 +21,22 @@ namespace {
 constexpr const char* kSpecSuffix = ".spec.json";
 constexpr const char* kCheckpointSuffix = ".checkpoint.json";
 
-/// FNV-1a 64 over the augmented dataset's observable bytes (labels, row
-/// ids, feature values bit-patterns). The cheap byte-identity witness
-/// session.result exposes: two runs answering with the same digest hold
-/// bit-identical D̂ without shipping the rows over the wire. Mixing order
-/// (u64s, little-endian-first) matches the original inline implementation
-/// — these digests are wire-visible and must stay stable.
-std::uint64_t dataset_digest(const Dataset& data) {
-  Fnv1a64 h;
-  h.update_u64(data.size());
-  h.update_u64(data.num_features());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    h.update_u64(
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(data.label(i))));
-    h.update_u64(data.row_id(i));
-    for (const double value : data.row(i)) {
-      h.update_u64(std::bit_cast<std::uint64_t>(value));
-    }
-  }
-  return h.digest();
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
 FroteError no_such_session(const std::string& id) {
-  return FroteError::invalid_argument("no such session: " + id);
+  return FroteError::session_not_found("no such session: " + id);
 }
 
-/// The "session unrecoverable" message prefix is part of the protocol:
-/// frote_serve maps it to JSON-RPC -32002. The session's durable state is
-/// gone (corrupt and quarantined, or quarantined earlier); the daemon and
-/// every other session keep serving.
+/// The session's durable state is gone (corrupt and quarantined, or
+/// quarantined earlier); the daemon and every other session keep serving.
 FroteError unrecoverable(const std::string& id, const std::string& why) {
-  return FroteError::io_error("session unrecoverable: " + id + ": " + why);
+  return FroteError::session_unrecoverable("session unrecoverable: " + id +
+                                           ": " + why);
 }
 
-/// "overloaded" prefix ⇒ JSON-RPC -32005 with a retry_after_ms hint.
+/// frote_serve answers it with a retry_after_ms hint.
 FroteError pool_overloaded(std::size_t limit, const char* what) {
-  return FroteError::io_error("overloaded: " + std::string(what) +
-                              " limit reached (" + std::to_string(limit) +
-                              "); retry later");
+  return FroteError::overloaded("overloaded: " + std::string(what) +
+                                " limit reached (" + std::to_string(limit) +
+                                "); retry later");
 }
 
 }  // namespace
@@ -498,7 +468,7 @@ JsonValue SessionPool::summary_json(Entry& entry) const {
   out.set("iterations_run", progress.iterations_run);
   out.set("iterations_accepted", progress.iterations_accepted);
   out.set("j_bar", session.best_j_hat_bar());
-  out.set("dataset_digest", hex64(dataset_digest(session.augmented())));
+  out.set("dataset_digest", dataset_digest_hex(session.augmented()));
   entry.note_geometry();
   return out;
 }

@@ -30,8 +30,8 @@
 // daemon pointed at the same spool recovers every session and continues
 // it bit-identically. A spool file that fails validation on read (torn by
 // a crash the rename protocol didn't cover, bit-rotted, hand-edited) is
-// quarantined to <name>.corrupt and that one session degrades to a typed
-// "session unrecoverable" error; the daemon and every other session keep
+// quarantined to <name>.corrupt and that one session degrades to a
+// kSessionUnrecoverable error; the daemon and every other session keep
 // serving. The kill-recover chaos suite (tests/test_chaos_serve.cpp)
 // SIGKILLs the daemon at every fsio fault point and asserts recovery is
 // always to the pre- or post-checkpoint state, never a third one.
@@ -60,11 +60,11 @@ struct SessionPoolConfig {
   /// Live sessions kept in memory; exceeding this evicts the
   /// least-recently-used idle session to the spool. 0 = unbounded.
   /// Without a spool there is nowhere to evict to, so this becomes an
-  /// admission limit instead: create() beyond it is refused with an
-  /// "overloaded" typed error rather than OOM-ing the daemon.
+  /// admission limit instead: create() beyond it is refused with a
+  /// kOverloaded error rather than OOM-ing the daemon.
   std::size_t max_live = 8;
   /// Hard cap on open sessions (live + evicted). create() beyond it is
-  /// refused with an "overloaded" typed error. 0 = unbounded.
+  /// refused with a kOverloaded error. 0 = unbounded.
   std::size_t max_sessions = 0;
   /// Testing/verification mode: spool the session after *every* request,
   /// so each next request pays a full restore. Client-visible responses
@@ -145,12 +145,12 @@ class SessionPool {
   struct Entry;
 
   /// Look up an entry and bump its recency (the logical request counter —
-  /// never the clock); "no such session" typed error when stale.
+  /// never the clock); kSessionNotFound error when stale.
   Expected<std::shared_ptr<Entry>, FroteError> find_entry(
       const std::string& id);
   /// Ensure the entry has a live Session (restore from spool if evicted).
   /// Caller must hold the entry mutex. A torn/corrupt spooled checkpoint
-  /// is quarantined and reported as a "session unrecoverable" typed error
+  /// is quarantined and reported as a kSessionUnrecoverable error
   /// (JSON-RPC -32002) — the session is lost but the daemon keeps serving
   /// every other session.
   std::optional<FroteError> hydrate(Entry& entry);

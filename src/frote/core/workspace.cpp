@@ -108,9 +108,7 @@ KnnIndex& SessionWorkspace::index() {
       return *index_;
     }
   }
-  KnnIndexConfig config = index_config_;
-  config.threads = threads_;
-  index_ = make_knn_index(*data_, distance_, {}, config);
+  index_ = make_knn_index(*data_, distance_);
   index_snapshot_ = bound_;
   return *index_;
 }

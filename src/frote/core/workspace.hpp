@@ -65,8 +65,7 @@ inline DatasetSnapshot snapshot_of(const Dataset& data) {
 class SessionWorkspace {
  public:
   SessionWorkspace() = default;
-  explicit SessionWorkspace(int threads, KnnIndexConfig index_config = {})
-      : index_config_(index_config), threads_(threads) {}
+  explicit SessionWorkspace(int threads) : threads_(threads) {}
 
   /// Threads for the hot paths the workspace serves (kNN scans, batch
   /// predictions); 0 ⇒ FROTE_NUM_THREADS. Deterministic for every value.
@@ -147,7 +146,6 @@ class SessionWorkspace {
 
   std::unique_ptr<KnnIndex> index_;
   DatasetSnapshot index_snapshot_;
-  KnnIndexConfig index_config_;
   int threads_ = 0;
 
   std::uint64_t model_stamp_ = 0;

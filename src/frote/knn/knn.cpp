@@ -6,8 +6,6 @@
 #include <limits>
 #include <unordered_map>
 
-#include "frote/knn/sharded.hpp"
-
 namespace frote {
 
 namespace {
@@ -136,6 +134,19 @@ double PackedRows::squared(const double* a, const double* b) const {
 // BruteKnn
 
 namespace {
+
+/// Keep a bounded max-heap of the k best neighbours (worst on top).
+void heap_offer(std::vector<Neighbor>& heap, std::size_t k, Neighbor cand) {
+  const detail::NeighborCmp less;
+  if (heap.size() < k) {
+    heap.push_back(cand);
+    std::push_heap(heap.begin(), heap.end(), less);
+  } else if (less(cand, heap.front())) {
+    std::pop_heap(heap.begin(), heap.end(), less);
+    heap.back() = cand;
+    std::push_heap(heap.begin(), heap.end(), less);
+  }
+}
 
 /// A categorical code as a dictionary key: its bits, with -0.0 joined to
 /// 0.0, so two stored codes share a key exactly when they compare equal
@@ -325,7 +336,7 @@ void BruteKnn::query_squared(std::span<const double> query, std::size_t k,
   const auto offer = [&](double acc, std::size_t m, std::size_t pos) {
     if (acc > bound) return;
     for (std::size_t t = 0; t < m; ++t) acc += penalty_sq;
-    detail::heap_offer(heap, k, {position_row_[pos], acc});
+    heap_offer(heap, k, {position_row_[pos], acc});
     if (heap.size() == k) bound = heap.front().distance;
   };
   double floor = 0.0;
@@ -371,36 +382,16 @@ bool BruteKnn::try_append(const Dataset& data, const MixedDistance& distance) {
   return true;
 }
 
-bool BruteKnn::try_refit(const Dataset& data, const MixedDistance& distance) {
-  if (!distance_.same_scales(distance)) pack(data, distance);
-  return true;
-}
-
 // ---------------------------------------------------------------------------
-// Engine selection
-
-std::unique_ptr<KnnIndex> make_single_knn_index(
-    const Dataset& data, MixedDistance distance,
-    std::vector<std::size_t> indices) {
-  return std::make_unique<BruteKnn>(data, std::move(distance),
-                                    std::move(indices));
-}
+// Factory
 
 std::unique_ptr<KnnIndex> make_knn_index(const Dataset& data,
                                          MixedDistance distance,
                                          std::vector<std::size_t> indices,
                                          const KnnIndexConfig& config) {
-  const std::size_t n = indices.empty() ? data.size() : indices.size();
-  // The sharding decision is a pure function of (n, config) — never the
-  // thread count — so the engine (and therefore every distance computation)
-  // is stable across FROTE_NUM_THREADS.
-  const bool shard = config.shards >= 2 ||
-                     (config.shards == 0 && n >= config.shard_min_rows);
-  if (shard) {
-    return std::make_unique<ShardedKnnIndex>(data, std::move(distance),
-                                             std::move(indices), config);
-  }
-  return make_single_knn_index(data, std::move(distance), std::move(indices));
+  (void)config;
+  return std::make_unique<BruteKnn>(data, std::move(distance),
+                                    std::move(indices));
 }
 
 }  // namespace frote

@@ -1,30 +1,21 @@
 // k-nearest-neighbour search over a fixed set of rows with the SMOTE-NC
-// mixed distance. Two engines with identical results:
-//  - BruteKnn: an exact scan grouped by categorical signature — one
-//    mismatch count per group, levels visited by ascending mismatches, and
-//    a running k-th-distance bound that skips whole levels and drops rows
-//    before their penalty adds;
-//  - ShardedKnnIndex (knn/sharded.hpp): contiguous shards of the row set,
-//    each backed by a BruteKnn, with a deterministic merged top-k.
-// Both compare squared distances internally and break distance ties by row
-// index, so they agree exactly. The virtual surface is query_squared() —
-// the k best by *squared* distance — and the public query() applies the
-// square root once on top; composing engines (ShardedKnnIndex's merge) work
-// on the squared values so no intermediate rounding can reorder a tie.
-// make_knn_index() builds one BruteKnn, and past the sharding threshold
-// partitions the row set so builds and queries fan out on
-// util/parallel.hpp.
+// mixed distance. One engine, BruteKnn: an exact scan grouped by
+// categorical signature — one mismatch count per group, levels visited by
+// ascending mismatches, and a running k-th-distance bound that skips whole
+// levels and drops rows before their penalty adds. It compares squared
+// distances internally and breaks distance ties by row index, so its
+// results equal a flat scan's exactly. The virtual surface is
+// query_squared() — the k best by *squared* distance — and the public
+// query() applies the square root once on top. make_knn_index() builds one
+// BruteKnn at every row count.
 //
 // Appendable indexes (docs/DESIGN.md §5): an index built over *all* rows of
 // a dataset can absorb appended rows via try_append() instead of being
 // rebuilt from scratch. BruteKnn files only the new rows into signature
 // groups (opening new groups as needed; existing groups and dictionaries are
 // kept), then lays the groups out again and repacks its numeric blocks in
-// one O(n·d) pass. Subset indexes (the sharded engine's building blocks)
-// support try_refit() instead: same rows, re-fitted under a rescaled
-// distance.
-// Query results after any append/refit sequence are bit-identical to a
-// fresh build over the same rows and distance.
+// one O(n·d) pass. Query results after any append sequence are
+// bit-identical to a fresh build over the same rows and distance.
 #pragma once
 
 #include <algorithm>
@@ -86,8 +77,8 @@ class PackedRows {
   std::vector<double> scale_;         // feature -> 1/σ (1 for categorical)
 };
 
-/// Total order every engine ranks by: distance, then row index — the
-/// deterministic tie-break that makes single and sharded indexes agree.
+/// The total order the index ranks by: distance, then row index — the
+/// deterministic tie-break that makes the grouped scan equal a flat one.
 /// Works identically on squared distances (sqrt is monotone).
 struct NeighborCmp {
   bool operator()(const Neighbor& a, const Neighbor& b) const {
@@ -96,34 +87,15 @@ struct NeighborCmp {
   }
 };
 
-/// Keep a bounded max-heap of the k best neighbours (worst on top).
-inline void heap_offer(std::vector<Neighbor>& heap, std::size_t k,
-                       Neighbor cand) {
-  if (heap.size() < k) {
-    heap.push_back(cand);
-    std::push_heap(heap.begin(), heap.end(), NeighborCmp{});
-  } else if (NeighborCmp{}(cand, heap.front())) {
-    std::pop_heap(heap.begin(), heap.end(), NeighborCmp{});
-    heap.back() = cand;
-    std::push_heap(heap.begin(), heap.end(), NeighborCmp{});
-  }
-}
-
-/// Heap -> ascending (distance, index) order; distances stay squared.
-inline std::vector<Neighbor> heap_sorted(std::vector<Neighbor> heap) {
-  std::sort_heap(heap.begin(), heap.end(), NeighborCmp{});
-  return heap;
-}
 }  // namespace detail
 
-/// Common interface for kNN engines.
+/// Interface of a kNN index.
 class KnnIndex {
  public:
   virtual ~KnnIndex() = default;
   /// The k nearest indexed rows to `query`, ascending by distance. Ties are
-  /// broken by row index so every engine agrees exactly. Implemented on
-  /// query_squared(): the square root is applied exactly once per reported
-  /// neighbour, after all merging, so composed engines cannot re-round.
+  /// broken by row index. Implemented on query_squared(): the square root
+  /// is applied exactly once per reported neighbour.
   std::vector<Neighbor> query(std::span<const double> query,
                               std::size_t k) const {
     std::vector<Neighbor> out;
@@ -134,9 +106,8 @@ class KnnIndex {
     return out;
   }
   /// The k nearest indexed rows with *squared* distances, ascending by
-  /// (squared distance, index). The composition primitive: a merge of
-  /// per-shard results under this order is bit-identical to a single
-  /// index over the union.
+  /// (squared distance, index) — the values SessionWorkspace's
+  /// neighbourhood certificates compare against.
   virtual void query_squared(std::span<const double> query, std::size_t k,
                              std::vector<Neighbor>& out) const = 0;
   virtual std::size_t size() const = 0;
@@ -152,20 +123,9 @@ class KnnIndex {
     (void)distance;
     return false;
   }
-  /// Re-fit the index in place under `distance` over the *same* indexed
-  /// rows of `data` (which may have been rescaled by a refit). Unlike
-  /// try_append this works for subset indexes — it is how a sharded index
-  /// refreshes its shards without rebuilding them. Returns false when the
-  /// engine cannot refit in place.
-  virtual bool try_refit(const Dataset& data, const MixedDistance& distance) {
-    (void)data;
-    (void)distance;
-    return false;
-  }
 };
 
-/// Exact scan grouped by categorical signature: the library's single-index
-/// engine.
+/// Exact scan grouped by categorical signature: the library's kNN engine.
 ///
 /// Rows are stored grouped by their tuple of categorical codes (the
 /// signature). Each group is one contiguous block whose numeric columns are
@@ -198,9 +158,6 @@ class BruteKnn : public KnnIndex {
   /// existing groups and dictionaries are kept, and the groups are laid out
   /// again with every numeric block repacked under `distance`.
   bool try_append(const Dataset& data, const MixedDistance& distance) override;
-  /// Same rows, same groups; the numeric blocks are repacked only when
-  /// `distance` rescaled a column.
-  bool try_refit(const Dataset& data, const MixedDistance& distance) override;
 
   /// Distinct categorical signatures among the indexed rows; test hook.
   std::size_t group_count() const { return groups_; }
@@ -235,31 +192,18 @@ class BruteKnn : public KnnIndex {
   std::vector<double> numeric_;
 };
 
-/// Engine-selection knobs for make_knn_index.
+/// Options of make_knn_index.
 struct KnnIndexConfig {
-  int threads = 0;  // shard build/query fan-out; 0 ⇒ FROTE_NUM_THREADS
-  /// Row sets at or above this size are sharded (ShardedKnnIndex): the set
-  /// splits into contiguous ranges of ~shard_target_rows rows, each backed
-  /// by its own BruteKnn, built and queried on util/parallel.hpp.
-  /// The policy is a pure function of (n, config) — never the thread
-  /// count — so engine choice is stable across FROTE_NUM_THREADS.
-  std::size_t shard_min_rows = 32768;
-  std::size_t shard_target_rows = 16384;
-  /// Explicit shard count: 0 = auto (the policy above), 1 = never shard,
-  /// >= 2 = force exactly this many shards.
-  std::size_t shards = 0;
+  /// Accepted for callers that pass a thread count; the single engine runs
+  /// each query on the calling thread, so it has no effect (callers fan
+  /// queries out themselves).
+  int threads = 0;
 };
 
-/// The library's default index: one BruteKnn, or a ShardedKnnIndex of
-/// them past shard_min_rows. Both return identical neighbours.
+/// The library's index: one BruteKnn over `indices` (all rows when empty).
 std::unique_ptr<KnnIndex> make_knn_index(const Dataset& data,
                                          MixedDistance distance,
                                          std::vector<std::size_t> indices = {},
                                          const KnnIndexConfig& config = {});
-
-/// make_knn_index without the sharding tier — the per-shard building block.
-std::unique_ptr<KnnIndex> make_single_knn_index(
-    const Dataset& data, MixedDistance distance,
-    std::vector<std::size_t> indices = {});
 
 }  // namespace frote

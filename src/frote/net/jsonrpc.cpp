@@ -109,6 +109,12 @@ int rpc_code_for(const FroteError& error) {
     case FroteErrorCode::kMissingDependency:
     case FroteErrorCode::kParseError:
       return kInvalidParams;
+    case FroteErrorCode::kSessionNotFound:
+      return kSessionNotFound;
+    case FroteErrorCode::kSessionUnrecoverable:
+      return kSessionUnrecoverable;
+    case FroteErrorCode::kOverloaded:
+      return kOverloaded;
   }
   return kInternalError;
 }

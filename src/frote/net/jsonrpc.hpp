@@ -73,7 +73,9 @@ std::string rpc_error_line(const JsonValue& id, int code,
 
 /// Map a FroteError raised while executing a method onto the protocol
 /// code: every config/parse/registry/argument problem is the caller's
-/// params (-32602), I/O is the server's fault (-32603).
+/// params (-32602), I/O is the server's fault (-32603), and the session
+/// pool's conditions keep their own codes: a stale id (-32001), lost
+/// durable state (-32002), an admission refusal (-32005).
 int rpc_code_for(const FroteError& error);
 
 }  // namespace frote::net

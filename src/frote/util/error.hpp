@@ -32,6 +32,9 @@ enum class FroteErrorCode {
   kMissingDependency,  // a component needs state the caller did not supply
   kParseError,         // malformed serialized input (JSON, rule text)
   kIoError,            // a file could not be read or written
+  kSessionNotFound,    // a session id that is stale, closed or never issued
+  kSessionUnrecoverable,  // a session's spooled state is corrupt or gone
+  kOverloaded,         // an admission limit refused the request
 };
 
 /// Typed error value returned by fallible API-boundary operations.
@@ -56,6 +59,15 @@ struct FroteError {
   }
   static FroteError io_error(std::string message) {
     return {FroteErrorCode::kIoError, std::move(message)};
+  }
+  static FroteError session_not_found(std::string message) {
+    return {FroteErrorCode::kSessionNotFound, std::move(message)};
+  }
+  static FroteError session_unrecoverable(std::string message) {
+    return {FroteErrorCode::kSessionUnrecoverable, std::move(message)};
+  }
+  static FroteError overloaded(std::string message) {
+    return {FroteErrorCode::kOverloaded, std::move(message)};
   }
 };
 

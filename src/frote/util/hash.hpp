@@ -1,17 +1,20 @@
 // FNV-1a 64 — the repo's one non-cryptographic byte hash.
 //
 // Three subsystems need a cheap, stable digest of a byte stream: the
-// session pool's dataset digest (the byte-identity witness session.result
-// exposes), the spool integrity footer (util/fsio.hpp), and the fault
+// dataset digest (the byte-identity witness session.result and scenario
+// reports expose), the spool integrity footer (util/fsio.hpp), and the fault
 // simulator's per-point seed streams (util/faultsim.hpp). One shared
 // implementation so the constants — and therefore every persisted or
 // wire-visible digest — cannot drift between them.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace frote {
+
+class Dataset;
 
 /// Incremental FNV-1a 64 accumulator. Byte order is explicit everywhere
 /// (u64s are mixed little-endian-first), so digests are platform-stable.
@@ -46,5 +49,12 @@ inline std::uint64_t fnv1a64(std::string_view bytes) {
   h.update(bytes);
   return h.digest();
 }
+
+/// FNV-1a 64 over a dataset's observable bytes — row and feature counts,
+/// then per row its label, row id and feature-value bit patterns — as 16
+/// lower-case hex digits. Two runs with the same digest hold bit-identical
+/// datasets. The digest is wire-visible (session.result) and locked by the
+/// scenario goldens, so its byte order must never change.
+std::string dataset_digest_hex(const Dataset& data);
 
 }  // namespace frote

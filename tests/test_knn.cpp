@@ -89,7 +89,7 @@ TEST(BruteKnn, KLargerThanSetReturnsAll) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential oracle: every engine against a naive reference — the packed
+// Differential oracle: the index against a naive reference — the packed
 // squared distance to every indexed row, fully sorted by (squared distance,
 // row index). Agreement is bitwise: same positions, same distance bits.
 
@@ -214,7 +214,7 @@ std::vector<std::vector<double>> oracle_queries(const Dataset& data,
 
 class KnnOracle : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(KnnOracle, EveryEngineMatchesNaiveReference) {
+TEST_P(KnnOracle, IndexMatchesNaiveReference) {
   const std::uint64_t seed = GetParam();
   const std::size_t n =
       seed % 4 == 3 ? 600 : 20 + static_cast<std::size_t>(seed * 37 % 180);
@@ -224,20 +224,8 @@ TEST_P(KnnOracle, EveryEngineMatchesNaiveReference) {
   for (const std::size_t k : {std::size_t{1}, std::size_t{7}, n, n + 5}) {
     const std::string at = "seed " + std::to_string(seed) + " k " +
                            std::to_string(k);
-    expect_matches_reference(BruteKnn(data, distance), data, distance, {},
-                             queries, k, "brute " + at);
-    for (const int threads : {1, 4}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-        KnnIndexConfig config;
-        config.threads = threads;
-        config.shards = shards;
-        expect_matches_reference(
-            *make_knn_index(data, distance, {}, config), data, distance, {},
-            queries, k,
-            "threads " + std::to_string(threads) + " shards " +
-                std::to_string(shards) + " " + at);
-      }
-    }
+    expect_matches_reference(*make_knn_index(data, distance), data, distance,
+                             {}, queries, k, at);
   }
 }
 
@@ -261,7 +249,7 @@ TEST_P(KnnOracle, SubsetIndexMatchesNaiveReference) {
   }
 }
 
-TEST_P(KnnOracle, AppendAndRefitMatchNaiveReference) {
+TEST_P(KnnOracle, AppendMatchesNaiveReference) {
   const std::uint64_t seed = GetParam();
   const Dataset full = random_mixed_dataset(seed, 160);
   Dataset data(full.schema_ptr());
@@ -271,7 +259,7 @@ TEST_P(KnnOracle, AppendAndRefitMatchNaiveReference) {
   BruteKnn same_scales(data, frozen);
   std::vector<std::size_t> subset;
   for (std::size_t i = 0; i < data.size(); i += 3) subset.push_back(i);
-  BruteKnn refitted(data, frozen, subset);
+  BruteKnn subset_index(data, frozen, subset);
   for (std::size_t from = 100; from < full.size(); from += 20) {
     for (std::size_t i = from; i < from + 20; ++i) data.add_row(full.row(i), 1);
     const MixedDistance refit = MixedDistance::fit(data);
@@ -283,10 +271,7 @@ TEST_P(KnnOracle, AppendAndRefitMatchNaiveReference) {
     ASSERT_TRUE(same_scales.try_append(data, frozen));
     expect_matches_reference(same_scales, data, frozen, {}, queries, 9,
                              "append without rescale");
-    ASSERT_TRUE(refitted.try_refit(data, refit));
-    expect_matches_reference(refitted, data, refit, subset, queries, 9,
-                             "refit");
-    EXPECT_FALSE(refitted.try_append(data, refit));  // subsets never append
+    EXPECT_FALSE(subset_index.try_append(data, refit));  // subsets never append
   }
 }
 

@@ -221,28 +221,11 @@ bool parse_args(int argc, char** argv, Options& options) {
   return true;
 }
 
-/// Protocol code for a pool/engine failure. The pool reports typed
-/// conditions as message prefixes; the protocol distinguishes stale ids
-/// (-32001), lost durable state (-32002), and admission refusals (-32005)
-/// from genuinely bad params (-32602) / internal faults (-32603).
-int code_for(const FroteError& error) {
-  if (error.message.rfind("no such session", 0) == 0) {
-    return frote::net::kSessionNotFound;
-  }
-  if (error.message.rfind("session unrecoverable", 0) == 0) {
-    return frote::net::kSessionUnrecoverable;
-  }
-  if (error.message.rfind("overloaded", 0) == 0) {
-    return frote::net::kOverloaded;
-  }
-  return frote::net::rpc_code_for(error);
-}
-
 /// Error envelope for a pool failure. Overloaded responses carry a
 /// machine-readable retry hint so clients can back off without parsing
 /// the message text.
 std::string pool_error_line(const JsonValue& id, const FroteError& error) {
-  const int code = code_for(error);
+  const int code = frote::net::rpc_code_for(error);
   if (code == frote::net::kOverloaded) {
     JsonValue data = JsonValue::object();
     data.set("retry_after_ms", std::int64_t{50});
