@@ -215,12 +215,14 @@ if [[ "${FROTE_CI_SKIP_BENCH:-0}" != "1" ]]; then
       # Opt-in hard gate over the load-bearing loop benchmarks. The default
       # leg above stays warn-only: shared runners are too noisy to gate the
       # whole table, but a >25% regression on the FROTE iteration, IP
-      # selection, the objective evaluation, the accept path (session step,
-      # incremental model update, snapshot restore), or the serving loop is
-      # a perf bug, not noise.
+      # selection (cold, and warm: the reject path's per-step re-solve), the
+      # objective evaluation, the accept path (session step, incremental
+      # model update, snapshot restore), or the serving loop is a perf bug,
+      # not noise. --only matches a name or name/args, so the warm rows need
+      # their own entry.
       echo "=== bench compare (strict): curated hot-path subset ==="
       python3 tools/bench_compare.py --strict \
-        --only BM_FroteIteration,BM_IpSelection,BM_ObjectiveEval,BM_SessionStepAccept,BM_SnapshotRestore,BM_ModelUpdate,BM_ServeRequest,BM_ServeEvictRestore \
+        --only BM_FroteIteration,BM_IpSelection,BM_IpSelectionWarm,BM_ObjectiveEval,BM_SessionStepAccept,BM_SnapshotRestore,BM_ModelUpdate,BM_ServeRequest,BM_ServeEvictRestore \
         BENCH_micro.json "$BUILD_DIR/BENCH_micro.json"
     fi
   fi

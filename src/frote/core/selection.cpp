@@ -1,7 +1,6 @@
 #include "frote/core/selection.hpp"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 
 #include "frote/core/workspace.hpp"
@@ -159,12 +158,22 @@ std::vector<SelectedInstance> IpSelector::select(
   const std::size_t m = bp.per_rule.size();
   if (m == 0 || eta == 0) return out;
 
-  // Unique base-population instances become the binary variables z_i.
-  std::map<std::size_t, std::size_t> var_of_row;  // dataset row -> var index
+  // Unique base-population instances become the binary variables z_i, in
+  // first-seen order: LP column order decides the simplex's Dantzig
+  // tie-breaks, so it is part of the result.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t row_span = 0;
+  for (const auto& rule_bp : bp.per_rule) {
+    for (std::size_t idx : rule_bp.indices) {
+      row_span = std::max(row_span, idx + 1);
+    }
+  }
+  std::vector<std::size_t> var_of_row(row_span, kNone);  // row -> var index
   std::vector<std::size_t> row_of_var;
   for (const auto& rule_bp : bp.per_rule) {
     for (std::size_t idx : rule_bp.indices) {
-      if (var_of_row.emplace(idx, row_of_var.size()).second) {
+      if (var_of_row[idx] == kNone) {
+        var_of_row[idx] = row_of_var.size();
         row_of_var.push_back(idx);
       }
     }
@@ -215,7 +224,7 @@ std::vector<SelectedInstance> IpSelector::select(
   for (std::size_t i = 0; i < p; ++i) lp.c[i] = weights[i];
   for (std::size_t j = 0; j < m; ++j) {
     for (std::size_t idx : bp.per_rule[j].indices) {
-      lp.set_coeff(j, var_of_row.at(idx), 1.0);
+      lp.set_coeff(j, var_of_row[idx], 1.0);
     }
     lp.hi[p + j] = std::max(0.0, upper_bound[j] - lower_bound[j]);
     lp.b[j] = upper_bound[j];
@@ -224,6 +233,7 @@ std::vector<SelectedInstance> IpSelector::select(
   std::vector<std::size_t> binaries(p);
   for (std::size_t i = 0; i < p; ++i) binaries[i] = i;
   const IpResult ip = solve_binary_ip(lp, binaries, config_.ip);
+  if (ws != nullptr) ws->record_ip_solve(ip);
 
   std::vector<bool> selected_rows(p, false);
   if (ip.feasible) {
@@ -234,7 +244,7 @@ std::vector<SelectedInstance> IpSelector::select(
     for (std::size_t j = 0; j < m; ++j) {
       std::vector<std::size_t> vars;
       for (std::size_t idx : bp.per_rule[j].indices) {
-        vars.push_back(var_of_row.at(idx));
+        vars.push_back(var_of_row[idx]);
       }
       std::sort(vars.begin(), vars.end(), [&](std::size_t a, std::size_t b) {
         if (weights[a] != weights[b]) return weights[a] > weights[b];
@@ -252,6 +262,24 @@ std::vector<SelectedInstance> IpSelector::select(
     }
   }
 
+  // First slot of each selected instance in each rule's pool (kNone when
+  // absent), filled by one pass over every pool.
+  std::vector<std::size_t> ordinal(p, kNone);  // var -> index among selected
+  std::size_t num_selected = 0;
+  for (std::size_t i = 0; i < p; ++i) {
+    if (selected_rows[i]) ordinal[i] = num_selected++;
+  }
+  std::vector<std::size_t> first_slot(num_selected * m, kNone);
+  for (std::size_t j = 0; j < m; ++j) {
+    const auto& pool = bp.per_rule[j].indices;
+    for (std::size_t slot = 0; slot < pool.size(); ++slot) {
+      const std::size_t o = ordinal[var_of_row[pool[slot]]];
+      if (o != kNone && first_slot[o * m + j] == kNone) {
+        first_slot[o * m + j] = slot;
+      }
+    }
+  }
+
   // Map selected instances back to (rule, slot) pairs, balancing rules whose
   // populations overlap. Randomised rule order keeps the assignment fair.
   std::vector<std::size_t> per_rule_assigned(m, 0);
@@ -259,19 +287,17 @@ std::vector<SelectedInstance> IpSelector::select(
   for (std::size_t j = 0; j < m; ++j) rule_order[j] = j;
   for (std::size_t i = 0; i < p; ++i) {
     if (!selected_rows[i]) continue;
-    const std::size_t row = row_of_var[i];
     rng.shuffle(rule_order);
     std::size_t best_rule = m;
     std::size_t best_slot = 0;
     std::size_t best_load = static_cast<std::size_t>(-1);
     for (std::size_t j : rule_order) {
-      const auto& pool = bp.per_rule[j].indices;
-      const auto it = std::find(pool.begin(), pool.end(), row);
-      if (it == pool.end()) continue;
+      const std::size_t slot = first_slot[ordinal[i] * m + j];
+      if (slot == kNone) continue;
       if (per_rule_assigned[j] < best_load) {
         best_load = per_rule_assigned[j];
         best_rule = j;
-        best_slot = static_cast<std::size_t>(it - pool.begin());
+        best_slot = slot;
       }
     }
     if (best_rule < m) {

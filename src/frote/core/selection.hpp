@@ -75,7 +75,9 @@ struct IpSelectorConfig {
 /// index, model predictions and the borderline weights themselves are
 /// served from (and stored into) the workspace caches — bit-identical to
 /// the standalone computation, but rejected FROTE iterations skip the
-/// entire O(|BP|) scoring pass.
+/// entire O(|BP|) scoring pass. The IP itself is rebuilt and re-solved on
+/// every call; with a workspace, each solve's outcome is counted in
+/// SessionWorkspace::ip_solves().
 class IpSelector : public BaseInstanceSelector {
  public:
   explicit IpSelector(IpSelectorConfig config = {}) : config_(config) {}

@@ -135,6 +135,18 @@ void SessionWorkspace::store_weights(const std::vector<std::size_t>& rows,
   weights_valid_ = true;
 }
 
+void SessionWorkspace::record_ip_solve(const IpResult& result) {
+  if (!result.feasible) {
+    ++ip_solves_.greedy_repair;
+  } else if (result.relaxation_was_integral) {
+    ++ip_solves_.root_integral;
+  } else {
+    ++ip_solves_.branch_and_bound;
+  }
+  ip_solves_.lp_failures += result.lp_failures;
+  if (result.node_limit_reached) ++ip_solves_.node_limit;
+}
+
 std::vector<const RowNeighborhood*> SessionWorkspace::neighborhoods(
     const std::vector<std::size_t>& rows, std::size_t k) {
   FROTE_CHECK_MSG(data_ != nullptr && distance_valid_,

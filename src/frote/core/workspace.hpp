@@ -31,6 +31,7 @@
 #include "frote/core/generate.hpp"
 #include "frote/knn/knn.hpp"
 #include "frote/metrics/metrics.hpp"
+#include "frote/opt/ip.hpp"
 
 namespace frote {
 
@@ -61,6 +62,19 @@ struct DatasetSnapshot {
 inline DatasetSnapshot snapshot_of(const Dataset& data) {
   return {data.uid(), data.append_epoch(), data.size()};
 }
+
+/// How IpSelector::select resolved IP (5), one count per selection.
+/// Exactly one of root_integral / branch_and_bound / greedy_repair moves
+/// per selection; lp_failures and node_limit say why a search came up
+/// short. Observability only: never serialised into results, checkpoints
+/// or transcripts.
+struct IpSolveCounts {
+  std::uint64_t root_integral = 0;     // root LP relaxation already 0/1
+  std::uint64_t branch_and_bound = 0;  // 0/1 only after branching
+  std::uint64_t greedy_repair = 0;     // no 0/1 solution: greedy bounds
+  std::uint64_t lp_failures = 0;       // node LPs with no answer (IpResult)
+  std::uint64_t node_limit = 0;        // searches cut by IpConfig::max_nodes
+};
 
 class SessionWorkspace {
  public:
@@ -128,6 +142,11 @@ class SessionWorkspace {
   /// tests use to prove the fast path actually ran.
   std::uint64_t neighborhood_queries() const { return nbr_queries_; }
 
+  /// How the IP selections served by this workspace were resolved since it
+  /// was constructed; IpSelector::select records each solve.
+  const IpSolveCounts& ip_solves() const { return ip_solves_; }
+  void record_ip_solve(const IpResult& result);
+
   /// Per-rule constrained generator, cached until the bound snapshot moves.
   /// `rule` / `bp` must be the same objects across calls for a given bound
   /// snapshot (the Session's rule set and base population).
@@ -177,6 +196,8 @@ class SessionWorkspace {
   std::uint64_t nbr_stamp_ = 0;
   std::uint64_t nbr_queries_ = 0;
   bool nbr_valid_ = false;
+
+  IpSolveCounts ip_solves_;
 
   std::vector<std::unique_ptr<RuleConstrainedGenerator>> generators_;
   DatasetSnapshot generators_snapshot_;

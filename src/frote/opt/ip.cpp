@@ -35,6 +35,8 @@ IpResult solve_binary_ip(const LpProblem& problem,
                          const std::vector<std::size_t>& binary_vars,
                          const IpConfig& config) {
   IpResult result;
+  // Nodes differ from the root only in their bounds, so each carries its
+  // own bound vectors and shares `problem`'s A, b and c.
   std::vector<Node> stack;
   stack.push_back({problem.lo, problem.hi});
 
@@ -46,10 +48,8 @@ IpResult solve_binary_ip(const LpProblem& problem,
     stack.pop_back();
     ++result.nodes_explored;
 
-    LpProblem sub = problem;
-    sub.lo = node.lo;
-    sub.hi = node.hi;
-    const LpResult relax = solve_lp(sub);
+    const LpResult relax = solve_lp(problem, node.lo, node.hi);
+    if (relax.status == LpStatus::kIterationLimit) ++result.lp_failures;
     if (relax.status != LpStatus::kOptimal) continue;
     if (relax.objective <= incumbent + 1e-9) continue;  // bound prune
 
@@ -70,7 +70,7 @@ IpResult solve_binary_ip(const LpProblem& problem,
     first_node = false;
 
     // Branch: explore the rounded side first (DFS, stack order reversed).
-    Node down = node, up = node;
+    Node down = node, up = std::move(node);
     down.hi[frac] = 0.0;
     up.lo[frac] = 1.0;
     if (relax.x[frac] >= 0.5) {
@@ -81,6 +81,7 @@ IpResult solve_binary_ip(const LpProblem& problem,
       stack.push_back(std::move(down));
     }
   }
+  result.node_limit_reached = !stack.empty();
   return result;
 }
 

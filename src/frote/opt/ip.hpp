@@ -24,6 +24,12 @@ struct IpResult {
   std::size_t nodes_explored = 0;
   /// True when the root LP relaxation was already integral.
   bool relaxation_was_integral = false;
+  /// Node LPs that stopped without an answer: the iteration limit, a
+  /// numerically singular basis, or an unbounded ray.
+  std::size_t lp_failures = 0;
+  /// True when the search stopped at config.max_nodes with nodes left, so
+  /// `x` (if any) is the best found rather than a proven optimum.
+  bool node_limit_reached = false;
 };
 
 /// Solve max c'x, Ax = b, lo ≤ x ≤ hi with x_j ∈ {0,1} for j in

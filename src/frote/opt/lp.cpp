@@ -11,11 +11,25 @@ namespace {
 
 constexpr double kTol = 1e-9;
 
-/// Solve M x = rhs by Gaussian elimination with partial pivoting.
+/// Working copies for dense_solve, sized once per solve_lp call and reused
+/// by every simplex iteration.
+struct DenseScratch {
+  std::vector<double> m, rhs;
+  std::vector<std::size_t> perm;
+};
+
+/// Solve M x = rhs by Gaussian elimination with partial pivoting, working
+/// on copies in `scratch` (`m_in` and `rhs_in` are left untouched).
 /// Returns false when M is (numerically) singular.
-bool dense_solve(std::vector<double> m, std::vector<double> rhs,
-                 std::size_t n, std::vector<double>& out) {
-  std::vector<std::size_t> perm(n);
+bool dense_solve(const std::vector<double>& m_in,
+                 const std::vector<double>& rhs_in, std::size_t n,
+                 DenseScratch& scratch, std::vector<double>& out) {
+  std::vector<double>& m = scratch.m;
+  std::vector<double>& rhs = scratch.rhs;
+  std::vector<std::size_t>& perm = scratch.perm;
+  m.assign(m_in.begin(), m_in.end());
+  rhs.assign(rhs_in.begin(), rhs_in.end());
+  perm.resize(n);
   for (std::size_t i = 0; i < n; ++i) perm[i] = i;
   for (std::size_t col = 0; col < n; ++col) {
     // Pivot.
@@ -56,13 +70,17 @@ enum class VarState { kBasic, kAtLower, kAtUpper };
 }  // namespace
 
 LpResult solve_lp(const LpProblem& problem, std::size_t max_iterations) {
+  return solve_lp(problem, problem.lo, problem.hi, max_iterations);
+}
+
+LpResult solve_lp(const LpProblem& problem, const std::vector<double>& lo,
+                  const std::vector<double>& hi, std::size_t max_iterations) {
   const std::size_t n = problem.num_vars;
   const std::size_t m = problem.num_rows;
-  FROTE_CHECK(problem.c.size() == n && problem.lo.size() == n &&
-              problem.hi.size() == n);
+  FROTE_CHECK(problem.c.size() == n && lo.size() == n && hi.size() == n);
   FROTE_CHECK(problem.a.size() == n * m && problem.b.size() == m);
   for (std::size_t j = 0; j < n; ++j) {
-    FROTE_CHECK_MSG(problem.lo[j] <= problem.hi[j],
+    FROTE_CHECK_MSG(lo[j] <= hi[j],
                     "variable " << j << " has empty bound range");
   }
 
@@ -79,7 +97,7 @@ LpResult solve_lp(const LpProblem& problem, std::size_t max_iterations) {
   // Nonbasic user variables start at the bound of smaller magnitude
   // (finite lower bound preferred).
   for (std::size_t j = 0; j < n; ++j) {
-    x[j] = problem.lo[j];
+    x[j] = lo[j];
     state[j] = VarState::kAtLower;
   }
 
@@ -99,40 +117,56 @@ LpResult solve_lp(const LpProblem& problem, std::size_t max_iterations) {
     x[n + i] = std::abs(residual[i]);
   }
 
-  auto column = [&](std::size_t var, std::vector<double>& col) {
-    col.assign(m, 0.0);
-    if (var < n) {
-      for (std::size_t i = 0; i < m; ++i) col[i] = problem.coeff(i, var);
-    } else {
-      col[var - n] = art_sign[var - n];
-    }
+  // Entry `row` of column `var` of the extended constraint matrix, read in
+  // place: A for user variables, sign_i * e_i for artificial n + i.
+  auto entry = [&](std::size_t row, std::size_t var) {
+    if (var < n) return problem.coeff(row, var);
+    return row == var - n ? art_sign[row] : 0.0;
   };
   auto cost = [&](std::size_t var) {
     return var < n ? problem.c[var] : -big_m;
   };
-  auto lower = [&](std::size_t var) { return var < n ? problem.lo[var] : 0.0; };
+  auto lower = [&](std::size_t var) { return var < n ? lo[var] : 0.0; };
   auto upper = [&](std::size_t var) {
-    return var < n ? problem.hi[var] : kLpInfinity;
+    return var < n ? hi[var] : kLpInfinity;
   };
 
-  std::vector<double> bmat(m * m), y, dir, col_e;
+  // Per-iteration scratch, sized once: the hot loop below allocates
+  // nothing.
+  std::vector<double> bmat(m * m), bt(m * m), cb(m), y(m), dir(m), col_e(m);
+  std::vector<double> reduced(total);
+  DenseScratch scratch;
   std::size_t degenerate_steps = 0;
 
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    // Basis matrix (columns of basic variables).
+    // Basis matrix (columns of basic variables) and its transpose.
     for (std::size_t i = 0; i < m; ++i) {
-      std::vector<double> col;
-      column(basis[i], col);
-      for (std::size_t r = 0; r < m; ++r) bmat[r * m + i] = col[r];
+      for (std::size_t r = 0; r < m; ++r) {
+        bmat[r * m + i] = entry(r, basis[i]);
+        bt[i * m + r] = bmat[r * m + i];
+      }
     }
     // Duals: B' y = c_B.
-    std::vector<double> bt(m * m), cb(m);
-    for (std::size_t r = 0; r < m; ++r) {
-      for (std::size_t k = 0; k < m; ++k) bt[r * m + k] = bmat[k * m + r];
-    }
     for (std::size_t i = 0; i < m; ++i) cb[i] = cost(basis[i]);
-    if (!dense_solve(bt, cb, m, y)) {
+    if (!dense_solve(bt, cb, m, scratch, y)) {
       return {LpStatus::kIterationLimit, 0.0, {}};
+    }
+
+    // Reduced costs d_j = c_j − Σ_i y_i a_ij, accumulated over i in order
+    // for every column: row-major sweeps over A in place for the user
+    // variables, the single nonzero by index for the artificials. Basic
+    // columns are priced too; that costs m columns and keeps the sweeps
+    // branch-free.
+    for (std::size_t j = 0; j < n; ++j) reduced[j] = problem.c[j];
+    for (std::size_t i = 0; i < m; ++i) {
+      const double yi = y[i];
+      const double* row = problem.a.data() + i * n;
+      for (std::size_t j = 0; j < n; ++j) reduced[j] -= yi * row[j];
+    }
+    for (std::size_t j = n; j < total; ++j) {
+      double d = -big_m;
+      for (std::size_t i = 0; i < m; ++i) d -= y[i] * entry(i, j);
+      reduced[j] = d;
     }
 
     // Pricing: entering variable.
@@ -142,10 +176,7 @@ LpResult solve_lp(const LpProblem& problem, std::size_t max_iterations) {
     int enter_dir = 0;  // +1 increase from lower, -1 decrease from upper
     for (std::size_t j = 0; j < total; ++j) {
       if (state[j] == VarState::kBasic) continue;
-      std::vector<double> col;
-      column(j, col);
-      double d = cost(j);
-      for (std::size_t i = 0; i < m; ++i) d -= y[i] * col[i];
+      const double d = reduced[j];
       if (state[j] == VarState::kAtLower && d > kTol) {
         if (use_bland) {
           entering = j;
@@ -190,8 +221,8 @@ LpResult solve_lp(const LpProblem& problem, std::size_t max_iterations) {
     }
 
     // Direction: B d = A_entering.
-    column(entering, col_e);
-    if (!dense_solve(bmat, col_e, m, dir)) {
+    for (std::size_t r = 0; r < m; ++r) col_e[r] = entry(r, entering);
+    if (!dense_solve(bmat, col_e, m, scratch, dir)) {
       return {LpStatus::kIterationLimit, 0.0, {}};
     }
     // Entering moves by t ≥ 0 in direction sigma; basic vars move by

@@ -13,8 +13,10 @@
 
 #include "frote/core/engine.hpp"
 #include "frote/core/workspace.hpp"
+#include "frote/data/generators.hpp"
 #include "frote/exp/learners.hpp"
 #include "frote/ml/decision_tree.hpp"
+#include "frote/rules/parser.hpp"
 #include "test_util.hpp"
 
 namespace frote {
@@ -225,6 +227,65 @@ TEST(IpSelectorWorkspace, SelectionsMatchStandaloneAndShareRngStream) {
     // The cached path must consume the RNG identically.
     EXPECT_EQ(plain_rng.next_u64(), ws_rng.next_u64()) << "round " << round;
   }
+}
+
+TEST(IpSelectorWorkspace, AdultSessionSolvesEveryIpAtTheRoot) {
+  // The adult workload's shape (three rules, η = 50, k = 5, fast RF) at a
+  // test-sized 1500 rows: every selection's root LP relaxation is already
+  // 0/1, the paper's "in most cases" (§4.1) in its strongest form.
+  const Dataset data = make_dataset(UciDataset::kAdult, 1500, 1);
+  FeedbackRuleSet frs(parse_rules(
+      "IF hours_per_week > 50 THEN class = >50K\n"
+      "IF age > 45 AND education_num > 11 AND hours_per_week <= 50 "
+      "THEN class = >50K\n"
+      "IF age < 23 AND hours_per_week <= 50 THEN class = <=50K\n",
+      data.schema()));
+  const auto learner = make_learner(LearnerKind::kRF, 1, /*fast=*/true);
+  const auto engine = Engine::Builder()
+                          .rules(frs)
+                          .tau(4)
+                          .eta(50)
+                          .q(0.2)
+                          .seed(1)
+                          .selector("ip")
+                          .build()
+                          .value();
+  auto session = engine.open(data, *learner).value();
+  const std::size_t steps = session.run();
+  ASSERT_GT(steps, 1u);
+  const IpSolveCounts& counts = session.workspace().ip_solves();
+  EXPECT_EQ(counts.root_integral, steps);  // one selection per step
+  EXPECT_EQ(counts.branch_and_bound, 0u);
+  EXPECT_EQ(counts.greedy_repair, 0u);
+  EXPECT_EQ(counts.lp_failures, 0u);
+  EXPECT_EQ(counts.node_limit, 0u);
+}
+
+TEST(IpSelectorWorkspace, UnsatisfiableBoundsCountGreedyRepair) {
+  // Pools {0,1,2} ⊂ {0..6} ⊃ {3,4,5,6} under η = 3, k = 5: the outer rules
+  // must take all 3 and all 4 of their rows (l = u = pool size), which puts
+  // 7 in the middle pool against its cap of 6. The IP is infeasible and
+  // the selector falls back to greedy bound repair.
+  auto data = testing::threshold_dataset(40, 5.0, 3);
+  DecisionTreeLearner learner;
+  const auto model = learner.train(data);
+  BasePopulation bp;
+  bp.per_rule.resize(3);
+  bp.per_rule[0].indices = {0, 1, 2};
+  bp.per_rule[1].indices = {0, 1, 2, 3, 4, 5, 6};
+  bp.per_rule[2].indices = {3, 4, 5, 6};
+  for (std::size_t j = 0; j < 3; ++j) bp.per_rule[j].rule_index = j;
+
+  SessionWorkspace ws(/*threads=*/1);
+  ws.bind(data);
+  ws.set_model_stamp(1);
+  Rng rng(5);
+  const auto picked = IpSelector().select(data, bp, *model, 3, rng, &ws);
+  EXPECT_FALSE(picked.empty());
+  const IpSolveCounts& counts = ws.ip_solves();
+  EXPECT_EQ(counts.greedy_repair, 1u);
+  EXPECT_EQ(counts.root_integral, 0u);
+  EXPECT_EQ(counts.branch_and_bound, 0u);
 }
 
 TEST(PredictionCache, InvalidatedByRowEditsAndModelStamp) {
